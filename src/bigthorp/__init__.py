@@ -10,11 +10,8 @@ the bound rests on.
 
 from .bigkey import (
     BigKey,
-    CountingStore,
-    FileStore,
     KeyFileError,
     KeyFileVersionError,
-    MemoryStore,
     OracleMismatchError,
     seed_randomness,
 )
@@ -51,13 +48,10 @@ __all__ = [
     "BitString",
     "BoundInputs",
     "CipherParams",
-    "CountingStore",
-    "FileStore",
     "GammaPoint",
     "KEYGEN_TAG",
     "KeyFileError",
     "KeyFileVersionError",
-    "MemoryStore",
     "NaiveAdvBound",
     "Oracle",
     "OracleMismatchError",

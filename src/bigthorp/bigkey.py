@@ -1,10 +1,11 @@
 """Huge bit-addressable keys with a versioned on-disk format.
 
 A key is N random bits that may be far too large to hold in memory, so
-reads go through a byte-granular store: ``MemoryStore`` for small keys and
-tests, ``FileStore`` for keys used in place on disk (one seek-and-read per
-probed byte, never a full-file load), and ``CountingStore`` to wrap either
-and count how many byte reads an operation performs.
+the bits live in one flat read-only buffer: ``bytes`` for generated keys
+and keys loaded ``in_memory``, or a read-only ``mmap`` of the key file for
+keys used in place on disk.  A probe costs one byte read from the buffer,
+so a round touches at most k key bytes however large the key is, and the
+mapping has no shared file position, so threads may share one key.
 
 Key file layout, all integers big-endian::
 
@@ -16,12 +17,18 @@ Key bits follow the package packing convention (bit i at position
 spare positions of the last byte must be zero.  The embedded oracle
 identifier pins which stream backend the key was meant for, and loading
 fails closed on a bad magic, an unknown version, a mismatched identifier,
-a wrong byte count, or dirty padding.
+a wrong byte count, or dirty padding.  Saving writes a temporary file in
+the target's directory and renames it over the target, so a save never
+truncates a file that a mapped key is still reading.  Another program
+that truncates a mapped key file in place makes reads past the new end
+fault (SIGBUS); this module never does so.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
+import tempfile
 from typing import Optional
 
 from .bitstring import BitString
@@ -47,80 +54,6 @@ class OracleMismatchError(KeyFileError):
     """Key file pins a different oracle backend than the caller expects."""
 
 
-class MemoryStore:
-    """Key bytes held in memory."""
-
-    def __init__(self, data: bytes):
-        self._data = bytes(data)
-
-    @property
-    def n_bytes(self) -> int:
-        return len(self._data)
-
-    def read_byte(self, index: int) -> int:
-        return self._data[index]
-
-    def read_block(self, start: int, n: int) -> bytes:
-        return self._data[start : start + n]
-
-    def close(self):
-        pass
-
-
-class FileStore:
-    """Key bytes read from an open file, one probe at a time."""
-
-    def __init__(self, fileobj, offset: int, n_bytes: int):
-        self._f = fileobj
-        self._offset = offset
-        self._n_bytes = n_bytes
-
-    @property
-    def n_bytes(self) -> int:
-        return self._n_bytes
-
-    def read_byte(self, index: int) -> int:
-        if not 0 <= index < self._n_bytes:
-            raise IndexError(f"byte index {index} out of range")
-        self._f.seek(self._offset + index)
-        b = self._f.read(1)
-        if len(b) != 1:
-            raise KeyFileError("short read from key file")
-        return b[0]
-
-    def read_block(self, start: int, n: int) -> bytes:
-        self._f.seek(self._offset + start)
-        out = self._f.read(n)
-        if len(out) != n:
-            raise KeyFileError("short read from key file")
-        return out
-
-    def close(self):
-        self._f.close()
-
-
-class CountingStore:
-    """Wraps a store and counts byte reads, for access-locality tests."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.reads = 0
-
-    @property
-    def n_bytes(self) -> int:
-        return self._inner.n_bytes
-
-    def read_byte(self, index: int) -> int:
-        self.reads += 1
-        return self._inner.read_byte(index)
-
-    def read_block(self, start: int, n: int) -> bytes:
-        return self._inner.read_block(start, n)
-
-    def close(self):
-        self._inner.close()
-
-
 def seed_randomness(n_bytes: int, seed: int, oracle: Optional[Oracle] = None) -> bytes:
     """Expand a small seed into key material via the key-generation domain.
 
@@ -142,21 +75,27 @@ def _encode_header(n_bits: int, oracle_id: str) -> bytes:
 
 
 class BigKey:
-    """An N-bit key behind a byte store, with probe-local access."""
+    """An N-bit key in a flat read-only buffer, with probe-local access.
 
-    def __init__(self, n_bits: int, store, oracle_id: str = "shake256"):
+    ``buf`` holds the key bytes from index ``offset`` to its end: ``bytes``,
+    a read-only ``mmap``, or anything else with ``len`` and indexing.
+    """
+
+    def __init__(self, n_bits: int, buf, oracle_id: str = "shake256",
+                 offset: int = 0):
         if not _MIN_BITS <= n_bits <= _MAX_BITS:
             raise ValueError(f"key size {n_bits} out of range {_MIN_BITS}..2^64-1")
         needed = (n_bits + 7) // 8
-        if store.n_bytes != needed:
+        if len(buf) - offset != needed:
             raise ValueError(
-                f"store holds {store.n_bytes} bytes, key of {n_bits} bits "
-                f"needs {needed}"
+                f"buffer holds {len(buf) - offset} key bytes, key of {n_bits} "
+                f"bits needs {needed}"
             )
         self.n_bits = n_bits
         self.oracle_id = oracle_id
         self.version = VERSION
-        self._store = store
+        self._buf = buf
+        self._offset = offset
 
     # -- construction ---------------------------------------------------
 
@@ -173,17 +112,15 @@ class BigKey:
             raise ValueError(f"key size {n_bits} out of range {_MIN_BITS}..2^64-1")
         needed = (n_bits + 7) // 8
         if hasattr(randomness, "read"):
-            data = randomness.read(needed)
-        else:
-            data = bytes(randomness)[:needed]
+            randomness = randomness.read(needed)
+        data = bytes(randomness)[:needed]
         if len(data) < needed:
             raise ValueError(
                 f"insufficient randomness: need {needed} bytes, got {len(data)}"
             )
-        data = bytearray(data)
         if n_bits % 8:
-            data[-1] &= (1 << (n_bits % 8)) - 1
-        return cls(n_bits, MemoryStore(bytes(data)), oracle_id)
+            data = data[:-1] + bytes([data[-1] & ((1 << (n_bits % 8)) - 1)])
+        return cls(n_bits, data, oracle_id)
 
     @classmethod
     def load(
@@ -240,51 +177,55 @@ class BigKey:
                 )
             if in_memory:
                 f.seek(offset)
-                data = f.read(needed)
-                if len(data) != needed:
+                buf = f.read(needed)
+                if len(buf) != needed:
                     raise KeyFileError(f"{path}: short read")
-                store = MemoryStore(data)
+                offset = 0
             else:
-                store = FileStore(f, offset, needed)
-        except Exception:
+                buf = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+        finally:
             f.close()
-            raise
-        if in_memory:
-            f.close()
-        return cls(n_bits, store, ident)
+        return cls(n_bits, buf, ident, offset)
 
     def save(self, path):
-        with open(path, "wb") as f:
-            f.write(_encode_header(self.n_bits, self.oracle_id))
-            total = (self.n_bits + 7) // 8
-            pos = 0
-            while pos < total:
-                n = min(_COPY_CHUNK, total - pos)
-                f.write(self._store.read_block(pos, n))
-                pos += n
+        """Write the key file through a temporary file renamed over ``path``.
+
+        ``path`` is never truncated, so saving a lazily loaded key over its
+        own file leaves the key usable.  The file is not fsynced.
+        """
+        folder, name = os.path.split(os.path.abspath(path))
+        fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=folder)
+        try:
+            with os.fdopen(fd, "wb") as f:
+                f.write(_encode_header(self.n_bits, self.oracle_id))
+                for pos in range(self._offset, len(self._buf), _COPY_CHUNK):
+                    f.write(self._buf[pos : pos + _COPY_CHUNK])
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     # -- access ----------------------------------------------------------
 
     def get_bit(self, i: int) -> int:
         if not 1 <= i <= self.n_bits:
             raise IndexError(f"key bit index {i} out of range 1..{self.n_bits}")
-        byte = self._store.read_byte((i - 1) >> 3)
-        return (byte >> ((i - 1) & 7)) & 1
+        return self._buf[self._offset + ((i - 1) >> 3)] >> ((i - 1) & 7) & 1
 
     def subkey(self, probes) -> BitString:
         """Read the probed bits, in order, repeats included."""
-        bits = []
+        buf, offset, n = self._buf, self._offset, self.n_bits
+        value = length = 0
         for p in probes:
-            if not 1 <= p <= self.n_bits:
-                raise IndexError(
-                    f"probe {p} out of range 1..{self.n_bits}"
-                )
-            byte = self._store.read_byte((p - 1) >> 3)
-            bits.append((byte >> ((p - 1) & 7)) & 1)
-        return BitString(bits)
+            if not 1 <= p <= n:
+                raise IndexError(f"probe {p} out of range 1..{n}")
+            value |= (buf[offset + ((p - 1) >> 3)] >> ((p - 1) & 7) & 1) << length
+            length += 1
+        return BitString._make(length, value)
 
     def close(self):
-        self._store.close()
+        if isinstance(self._buf, mmap.mmap):
+            self._buf.close()
 
     def __enter__(self) -> "BigKey":
         return self

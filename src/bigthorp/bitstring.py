@@ -38,11 +38,7 @@ def _as_bit(b) -> int:
 
 
 def _reverse_bits(value: int, length: int) -> int:
-    out = 0
-    for i in range(length):
-        if (value >> i) & 1:
-            out |= 1 << (length - 1 - i)
-    return out
+    return int(format(value, f"0{length}b")[::-1], 2)
 
 
 class BitString:

@@ -23,6 +23,7 @@ back to a seeded pseudorandom stream that is stable across processes.
 from __future__ import annotations
 
 import hashlib
+import struct
 import threading
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
@@ -34,6 +35,17 @@ KEYGEN_TAG = 0x02
 
 _MAX_ROUND = 2**64 - 1
 _MAX_MSG_BITS = 2**16 - 1
+_HEAD = struct.Struct(">BQH")
+
+
+def encode_query(tag: int, round_index: int, msg_bits: int, r_value: int) -> bytes:
+    """The serialized query for a round input given as a big-endian int.
+
+    Unchecked: ``OracleQuery`` validates the fields; this is its encoder.
+    """
+    return _HEAD.pack(tag, round_index, msg_bits) + r_value.to_bytes(
+        (msg_bits - 1 + 7) // 8, "big"
+    )
 
 
 @dataclass(frozen=True)
@@ -59,13 +71,7 @@ class OracleQuery:
             )
 
     def to_bytes(self) -> bytes:
-        nbytes = (self.msg_bits - 1 + 7) // 8
-        return (
-            bytes([self.tag])
-            + self.round.to_bytes(8, "big")
-            + self.msg_bits.to_bytes(2, "big")
-            + self.r_bits.to_int().to_bytes(nbytes, "big")
-        )
+        return encode_query(self.tag, self.round, self.msg_bits, self.r_bits.to_int())
 
 
 class Oracle:
@@ -84,12 +90,15 @@ class Oracle:
             return len(self._seen)
 
     def stream(self, query: OracleQuery, n: int) -> bytes:
+        return self.stream_bytes(query.to_bytes(), n)
+
+    def stream_bytes(self, query_bytes: bytes, n: int) -> bytes:
+        """``stream`` for a query already serialized with ``to_bytes``."""
         if n < 0:
             raise ValueError("stream length must be nonnegative")
-        qbytes = query.to_bytes()
         with self._lock:
-            self._seen.add(qbytes)
-        return self._stream(qbytes, n)
+            self._seen.add(query_bytes)
+        return self._stream(query_bytes, n)
 
     def _stream(self, query_bytes: bytes, n: int) -> bytes:
         raise NotImplementedError

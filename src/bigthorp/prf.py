@@ -22,17 +22,20 @@ indicates a broken oracle backend rather than bad luck.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from itertools import compress
+from typing import Callable, Optional, Tuple
 
 from .bigkey import BigKey
 from .bitstring import BitString
-from .oracle import PROBE_TAG, Oracle, OracleQuery
+from .oracle import PROBE_TAG, Oracle, OracleQuery, encode_query
 
 REJECTION_CAP = 1000
 _WORD = 8
 _B = 1 << 64
 _EXTEND = 512
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)
@@ -154,10 +157,7 @@ def derive_probes(
 def draw_bit(key: BigKey, draw: ProbeDraw) -> int:
     """XOR of the key bits selected by an already-decoded draw."""
     sub = key.subkey(draw.probes)
-    out = 0
-    for i in draw.subset_indices():
-        out ^= sub.get_bit(i)
-    return out
+    return (sub._value & draw.subset_mask._value).bit_count() & 1
 
 
 def prf_bit(
@@ -173,3 +173,41 @@ def prf_bit(
             f"key has {key.n_bits} bits but params expect {params.n_bits}"
         )
     return draw_bit(key, derive_probes(oracle, r_bits, round_index, params))
+
+
+def _round_function(
+    key: BigKey, oracle: Oracle, params: CipherParams
+) -> Callable[[int, int], int]:
+    """``prf_bit`` as F(r, round_index) on round inputs held as big-endian ints.
+
+    For callers that have checked ``key`` against ``params`` once.  A round
+    whose k probe words all fall below the rejection threshold, as every
+    round does when N is a power of two, is decoded here from the initial
+    stream request and XORs the selected key bits straight from the key's
+    buffer.  Any other round goes through ``prf_bit``, which owns
+    rejection, stream extension and the rejection cap.
+    """
+    m, k, n = params.msg_bits, params.num_probes, params.n_bits
+    threshold = n * (_B // n)
+    need = _WORD * k + (k + 7) // 8
+    unpack = struct.Struct(f">{k}Q").unpack_from
+    mask_digits = f"0{k}b"
+    low_k = (1 << k) - 1
+    stream, buf, offset = oracle.stream_bytes, key._buf, key._offset
+
+    def f(r: int, round_index: int) -> int:
+        data = stream(encode_query(PROBE_TAG, round_index, m, r), need)
+        words = unpack(data)
+        if threshold < _B and max(words) >= threshold:
+            r_bits = BitString.from_int(r, m - 1)
+            return prf_bit(key, oracle, r_bits, round_index, params)
+        mask = int.from_bytes(data[_WORD * k :], "little") & low_k
+        # binary digits of the mask run from probe k down to probe 1
+        selected = format(mask, mask_digits).encode().translate(_DIGITS)
+        bit = 0
+        for word in compress(reversed(words), selected):
+            p = word % n
+            bit ^= buf[offset + (p >> 3)] >> (p & 7)
+        return bit & 1
+
+    return f

@@ -10,6 +10,10 @@ F(R, r) from the output's first m - 1 bits and unmasks the final bit, so
 every round (and hence the whole cipher) is a permutation no matter what
 F is.  Encryption runs rounds 1..T in order; decryption runs the same
 rounds in reverse.  T = 0 is the identity map.
+
+``encrypt`` and ``decrypt`` check their arguments once and run every round
+on the state held as an integer; ``round_forward`` and ``round_backward``
+are the same single rounds on bit strings, built from the ``prf`` stages.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 from .bigkey import BigKey
 from .bitstring import BitString
 from .oracle import Oracle
-from .prf import CipherParams, prf_bit
+from .prf import CipherParams, _round_function, prf_bit
 
 
 def _check(state: BitString, key: BigKey, params: CipherParams):
@@ -57,21 +61,34 @@ def round_backward(
     return rest.prepend_bit(masked ^ f)
 
 
+def _rounds(x: int, key: BigKey, oracle: Oracle, params: CipherParams,
+            forward: bool) -> int:
+    """All rounds on the state held as a big-endian int (bit 1 on top)."""
+    f = _round_function(key, oracle, params)
+    top = params.msg_bits - 1
+    low = (1 << top) - 1
+    if forward:
+        for r in range(1, params.rounds + 1):
+            rest = x & low
+            x = (rest << 1) | ((x >> top) ^ f(rest, r))
+    else:
+        for r in range(params.rounds, 0, -1):
+            rest = x >> 1
+            x = (((x & 1) ^ f(rest, r)) << top) | rest
+    return x
+
+
 def encrypt(
     message: BitString, key: BigKey, oracle: Oracle, params: CipherParams
 ) -> BitString:
     _check(message, key, params)
-    state = message
-    for r in range(1, params.rounds + 1):
-        state = round_forward(state, r, key, oracle, params)
-    return state
+    x = _rounds(message.to_int(), key, oracle, params, True)
+    return BitString.from_int(x, params.msg_bits)
 
 
 def decrypt(
     ciphertext: BitString, key: BigKey, oracle: Oracle, params: CipherParams
 ) -> BitString:
     _check(ciphertext, key, params)
-    state = ciphertext
-    for r in range(params.rounds, 0, -1):
-        state = round_backward(state, r, key, oracle, params)
-    return state
+    x = _rounds(ciphertext.to_int(), key, oracle, params, False)
+    return BitString.from_int(x, params.msg_bits)

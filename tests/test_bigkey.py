@@ -1,19 +1,39 @@
 """Key generation, probing, and the key file format."""
 
 import io
+import os
+import sys
+import threading
 
 import pytest
 
 from bigthorp import (
     BigKey,
     BitString,
-    CountingStore,
+    CipherParams,
     KeyFileError,
     KeyFileVersionError,
-    MemoryStore,
     OracleMismatchError,
+    Shake256Oracle,
+    encrypt,
     seed_randomness,
 )
+
+
+class CountingBuffer:
+    """Key bytes that count single-byte reads, for access-locality tests."""
+
+    def __init__(self, data):
+        self._data = data
+        self.reads = 0
+
+    def __len__(self):
+        return len(self._data)
+
+    def __getitem__(self, index):
+        if not isinstance(index, slice):
+            self.reads += 1
+        return self._data[index]
 
 
 def test_generate_bits_match_randomness_exactly():
@@ -22,11 +42,14 @@ def test_generate_bits_match_randomness_exactly():
     assert [key.get_bit(i) for i in range(1, 9)] == [1, 0, 1, 1, 0, 0, 1, 0]
 
 
-def test_generate_masks_padding_bits():
+def test_generate_masks_padding_bits(tmp_path):
     key = BigKey.generate(12, b"\xff\xff")
     assert key.get_bit(12) == 1
     assert all(key.get_bit(i) == 1 for i in range(1, 13))
-    assert key._store.read_byte(1) == 0x0F
+    with pytest.raises(IndexError):
+        key.get_bit(13)
+    key.save(tmp_path / "key.bk")
+    assert (tmp_path / "key.bk").read_bytes()[-1] == 0x0F
 
 
 def test_generate_requires_enough_randomness():
@@ -87,10 +110,19 @@ def test_get_bit_out_of_range():
 
 
 def test_subkey_touches_at_most_one_byte_per_probe():
-    store = CountingStore(MemoryStore(bytes(range(32))))
-    key = BigKey(256, store)
+    buf = CountingBuffer(bytes(range(32)))
+    key = BigKey(256, buf)
     key.subkey((1, 77, 200, 1, 256))
-    assert store.reads == 5
+    assert buf.reads == 5
+
+
+def test_encrypt_reads_at_most_k_key_bytes_per_round():
+    n = 1 << 12
+    buf = CountingBuffer(seed_randomness(n // 8, 17))
+    key = BigKey(n, buf)
+    params = CipherParams(n_bits=n, msg_bits=16, num_probes=8, rounds=40)
+    encrypt(BitString.from_hex("c0de", 16), key, Shake256Oracle(), params)
+    assert 0 < buf.reads <= params.rounds * params.num_probes
 
 
 def test_save_load_round_trip(tmp_path):
@@ -177,9 +209,9 @@ def test_load_rejects_dirty_padding(tmp_path):
 
 def test_store_size_must_match():
     with pytest.raises(ValueError):
-        BigKey(64, MemoryStore(b"\x00" * 7))
+        BigKey(64, b"\x00" * 7)
     with pytest.raises(ValueError):
-        BigKey(64, MemoryStore(b"\x00" * 9))
+        BigKey(64, b"\x00" * 9)
 
 
 def test_context_manager_closes_file(tmp_path):
@@ -188,4 +220,67 @@ def test_context_manager_closes_file(tmp_path):
     with BigKey.load(path) as key:
         key.get_bit(1)
     with pytest.raises(ValueError):
-        key.get_bit(1)  # reads on a closed file fail
+        key.get_bit(1)  # reads on a closed mapping fail
+
+
+def test_threads_share_one_lazy_key(tmp_path):
+    path = tmp_path / "key.bk"
+    n = 1 << 16
+    BigKey.generate(n, seed_randomness(n // 8, 21)).save(path)
+    params = CipherParams.from_passes(n, 16, 8, 1)
+    oracle = Shake256Oracle()
+    rows = [[BitString.from_int(t * 64 + i, 16) for i in range(64)]
+            for t in range(8)]
+    with BigKey.load(path, in_memory=True) as mem:
+        want = [[encrypt(x, mem, oracle, params) for x in row] for row in rows]
+    got = [None] * len(rows)
+    with BigKey.load(path) as lazy:
+        def work(t):
+            got[t] = [encrypt(x, lazy, oracle, params) for x in rows[t]]
+
+        threads = [threading.Thread(target=work, args=(t,))
+                   for t in range(len(rows))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+    assert got == want
+
+
+def test_save_over_its_own_lazy_source(tmp_path):
+    path = tmp_path / "key.bk"
+    n = 1 << 18  # larger than any read-ahead buffer
+    BigKey.generate(n, seed_randomness(n // 8, 31)).save(path)
+    before = path.read_bytes()
+    params = CipherParams.from_passes(n, 16, 8, 1)
+    x = BitString.from_hex("c0de", 16)
+    with BigKey.load(path, in_memory=True) as mem:
+        want = encrypt(x, mem, Shake256Oracle(), params)
+    with BigKey.load(path) as lazy:
+        lazy.save(path)
+        assert path.read_bytes() == before
+        assert encrypt(x, lazy, Shake256Oracle(), params) == want
+    with BigKey.load(path) as again:
+        assert encrypt(x, again, Shake256Oracle(), params) == want
+    assert os.listdir(tmp_path) == ["key.bk"]
+
+
+def test_failed_save_keeps_the_old_file(tmp_path):
+    path = tmp_path / "key.bk"
+    BigKey.generate(64, seed_randomness(8, 5)).save(path)
+    before = path.read_bytes()
+
+    class FailingBuffer(CountingBuffer):
+        def __getitem__(self, index):
+            raise OSError("device went away")
+
+    with pytest.raises(OSError):
+        BigKey(64, FailingBuffer(bytes(8))).save(path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["key.bk"]
