@@ -10,18 +10,22 @@ mapping has no shared file position, so threads may share one key.
 Key file layout, all integers big-endian::
 
     magic b"BIGK" | version (1 byte) | id length (1 byte) |
-    oracle identifier (ASCII) | N (8 bytes) | ceil(N / 8) key bytes
+    oracle identifier (ASCII) | N (8 bytes) | ceil(N / 8) key bytes |
+    CRC-32 of the header (4 bytes)
 
 Key bits follow the package packing convention (bit i at position
 (i - 1) % 8 of byte (i - 1) // 8); when N is not a multiple of 8 the
 spare positions of the last byte must be zero.  The embedded oracle
 identifier pins which stream backend the key was meant for, and loading
 fails closed on a bad magic, an unknown version, a mismatched identifier,
-a wrong byte count, or dirty padding.  Saving writes a temporary file in
-the target's directory and renames it over the target, so a save never
-truncates a file that a mapped key is still reading.  Another program
-that truncates a mapped key file in place makes reads past the new end
-fault (SIGBUS); this module never does so.
+a wrong byte count, dirty padding, or a header checksum mismatch.  The
+checksum (new in version 2) catches a damaged N that keeps ceil(N / 8),
+which nothing else in the file can; version 1 files, which lack it,
+still load.  Saving writes a temporary file in the target's directory
+and renames it over the target, so a save never truncates a file that a
+mapped key is still reading.  Another program that truncates a mapped key
+file in place makes reads past the new end fault (SIGBUS); this module
+never does so.
 """
 
 from __future__ import annotations
@@ -29,13 +33,14 @@ from __future__ import annotations
 import mmap
 import os
 import tempfile
+import zlib
 from typing import Optional
 
 from .bitstring import BitString
 from .oracle import KEYGEN_TAG, Oracle, OracleQuery, Shake256Oracle
 
 MAGIC = b"BIGK"
-VERSION = 1
+VERSION = 2
 
 _MIN_BITS = 8
 _MAX_BITS = 2**64 - 1
@@ -72,6 +77,10 @@ def _encode_header(n_bits: int, oracle_id: str) -> bytes:
     if not 1 <= len(ident) <= 255:
         raise ValueError("oracle identifier must be 1..255 ASCII bytes")
     return MAGIC + bytes([VERSION, len(ident)]) + ident + n_bits.to_bytes(8, "big")
+
+
+def _crc(header: bytes) -> bytes:
+    return zlib.crc32(header).to_bytes(4, "big")
 
 
 class BigKey:
@@ -138,7 +147,7 @@ class BigKey:
             vb = f.read(1)
             if len(vb) != 1:
                 raise KeyFileError(f"{path}: truncated header")
-            if vb[0] != VERSION:
+            if not 1 <= vb[0] <= VERSION:
                 raise KeyFileVersionError(
                     f"{path}: unsupported key file version {vb[0]}"
                 )
@@ -160,11 +169,17 @@ class BigKey:
                 raise KeyFileError(f"{path}: implausible key size {n_bits}")
             offset = 4 + 1 + 1 + lb[0] + 8
             needed = (n_bits + 7) // 8
+            checksum = 0 if vb[0] == 1 else 4
             size = os.fstat(f.fileno()).st_size
-            if size != offset + needed:
+            if size != offset + needed + checksum:
                 raise KeyFileError(
-                    f"{path}: expected {offset + needed} bytes, file has {size}"
+                    f"{path}: expected {offset + needed + checksum} bytes, "
+                    f"file has {size}"
                 )
+            if checksum:
+                f.seek(offset + needed)
+                if f.read(4) != _crc(magic + vb + lb + ident_raw + nb):
+                    raise KeyFileError(f"{path}: header checksum mismatch")
             if n_bits % 8:
                 f.seek(offset + needed - 1)
                 last = f.read(1)[0]
@@ -182,7 +197,8 @@ class BigKey:
                     raise KeyFileError(f"{path}: short read")
                 offset = 0
             else:
-                buf = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+                buf = mmap.mmap(f.fileno(), offset + needed,
+                                access=mmap.ACCESS_READ)
         finally:
             f.close()
         return cls(n_bits, buf, ident, offset)
@@ -197,9 +213,11 @@ class BigKey:
         fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=folder)
         try:
             with os.fdopen(fd, "wb") as f:
-                f.write(_encode_header(self.n_bits, self.oracle_id))
+                header = _encode_header(self.n_bits, self.oracle_id)
+                f.write(header)
                 for pos in range(self._offset, len(self._buf), _COPY_CHUNK):
                     f.write(self._buf[pos : pos + _COPY_CHUNK])
+                f.write(_crc(header))
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

@@ -19,9 +19,9 @@ calls p::
 where ``hinv`` is the inverse of the binary entropy function on the
 branch [1/2, 1].  The "closed-form" variant replaces hinv(z) with the
 algebraic upper bound 1/2 + 1/2 * sqrt(1 - z^(ln 4)), which never
-decreases the result.  The curve helpers evaluate the two leading terms
-(the parts that survive when p is not counted and qT/2^m is negligible)
-in the log2 domain so points far below underflow range still plot.
+decreases the result.  The curve helpers report the log2 of the two
+leading terms (the parts that survive when p is not counted and qT/2^m
+is negligible), so points far below the float range still plot.
 
 The naive-adversary calculator is exact: it returns ``Fraction`` values
 for the guaranteed-advantage lower bounds of an adversary that leaks
@@ -32,7 +32,7 @@ regime hypothesis q * floor(L/m) <= 2^m holds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable, List, Optional, Union
 
@@ -44,6 +44,7 @@ PRECISION_BITS = 240
 Number = Union[int, float, Fraction]
 
 _CSV_HEADER = "log2_q,neg_log2_gamma,valid"
+_NEWTON_STEPS = 32  # before bisection; from the seed Newton needs at most 5
 
 
 def _to_mpf(x) -> mpf:
@@ -57,6 +58,12 @@ def _check_unit(name: str, x) -> None:
         raise ValueError(f"{name} must be in [0, 1], got {x}")
 
 
+def _h_nats(p: mpf):
+    """h(p) in nats for 0 < p < 1, with the ln p and ln(1 - p) it took."""
+    a, b = mpmath.log(p), mpmath.log(1 - p)
+    return -p * a - (1 - p) * b, a, b
+
+
 def entropy_h(p: Number) -> mpf:
     """Binary entropy h(p) in bits; h(0) = h(1) = 0."""
     _check_unit("p", p)
@@ -64,15 +71,23 @@ def entropy_h(p: Number) -> mpf:
         pm = _to_mpf(p)
         if pm == 0 or pm == 1:
             return mpf(0)
-        return -pm * mpmath.log(pm, 2) - (1 - pm) * mpmath.log(1 - pm, 2)
+        return _h_nats(pm)[0] / mpmath.ln2
 
 
 def entropy_h_inv(z: Number, tol: float = 1e-12) -> mpf:
-    """Inverse of h on the branch [1/2, 1], by bisection.
+    """Inverse of h on the branch [1/2, 1], by Newton's method from above.
 
-    Bisection rather than Newton because h has a vanishing derivative at
-    1/2, right where z near 1 lands.  ``tol`` is an absolute tolerance on
-    the returned argument.
+    On [1/2, 1] h is concave and strictly decreasing, so a tangent step
+    taken from a point above the root lands between the root and that
+    point.  Seeded at the upper bound ``h_inv_upper(z)``, the iterates fall
+    monotonically onto the root; the vanishing derivative at 1/2 does not
+    break this.  A step costs ln p and ln(1 - p), which also give the
+    derivative ln((1 - p)/p) in nats.  The result is returned once a
+    bracket [lo, hi] with hi - lo <= ``tol`` and h(lo) >= z >= h(hi) has
+    been evaluated, so ``tol`` is an absolute tolerance on it.  Where the
+    seed rounds to 1 or rounding stalls the iteration, bisection on
+    [1/2, 1] finishes the job; it stops at the working precision's
+    resolution (about 1e-72), which is what a smaller ``tol`` gets.
     """
     _check_unit("z", z)
     if tol <= 0:
@@ -83,16 +98,31 @@ def entropy_h_inv(z: Number, tol: float = 1e-12) -> mpf:
             return mpf(1)
         if zm == 1:
             return mpf(0.5)
-        lo, hi = mpf(0.5), mpf(1)
-        tolm = mpf(tol)
-        # h is strictly decreasing on [1/2, 1]
-        while hi - lo > tolm:
-            mid = (lo + hi) / 2
-            if entropy_h(mid) > zm:
+        zn, tolm, half = zm * mpmath.ln2, mpf(tol), mpf(0.5)
+        hi = h_inv_upper(zm)
+        for _ in range(_NEWTON_STEPS):
+            new = hi  # the tangent at hi = 1 is vertical
+            if hi < 1:
+                h, a, b = _h_nats(hi)
+                if h > zn:  # rounding put hi below the root
+                    break
+                new = hi - (h - zn) / (b - a)
+            if hi - new <= tolm:
+                # [hi - tol, hi] brackets the root if h(hi - tol) >= z
+                if _h_nats(max(half, hi - tolm))[0] >= zn:
+                    return new
+                if new == hi:  # no progress
+                    break
+            hi = new
+        lo, hi = half, mpf(1)
+        mid = (lo + hi) / 2
+        while hi - lo > tolm and lo < mid < hi:
+            if _h_nats(mid)[0] > zn:
                 lo = mid
             else:
                 hi = mid
-        return (lo + hi) / 2
+            mid = (lo + hi) / 2
+        return mid
 
 
 def h_inv_upper(z: Number) -> mpf:
@@ -163,102 +193,63 @@ class BoundInputs:
         return self.leak_bits + self.msg_bits * (self.queries + 1) + self.rounds
 
 
-def _alpha_mp(b: BoundInputs, q: mpf) -> mpf:
-    return _to_mpf(b.leak_bits) + b.msg_bits * (q + 1) + b.rounds
+class _KeyTooSmall(ValueError):
+    """1 - (alpha + num_probes)/n_bits < 0: the bound does not apply."""
 
 
-def _hinv_arg(b: BoundInputs, q: mpf) -> mpf:
-    return 1 - (_alpha_mp(b, q) + b.num_probes) / b.n_bits
+def gamma_bound(b: BoundInputs, q: Number, variant: str = "exact") -> mpf:
+    """The two leading bound terms at query count ``q``.
+
+    The one evaluator behind every bound calculator: it checks the
+    variant and the pass count, and computes z = 1 - (alpha + k)/N and
+    the inverse-entropy base once.
+    """
+    if variant not in ("exact", "closed-form"):
+        raise ValueError(f"unknown variant {variant!r}")
+    if b.passes < 1:
+        raise ValueError("passes must be at least 1 for the advantage bound")
+    with mpmath.workprec(PRECISION_BITS):
+        qm = _to_mpf(q)
+        if qm < 0:
+            raise ValueError("q must be nonnegative")
+        if qm == 0:
+            return mpf(0)
+        m, k, s, T = b.msg_bits, b.num_probes, b.passes, b.rounds
+        z = 1 - (_to_mpf(b.leak_bits) + m * (qm + 1) + T + k) / b.n_bits
+        if z < 0:
+            raise _KeyTooSmall(
+                f"invalid inputs: 1 - (alpha + num_probes)/n_bits = "
+                f"{mpmath.nstr(z, 6)} is negative (key too small for these "
+                f"parameters)"
+            )
+        base = entropy_h_inv(z) if variant == "exact" else h_inv_upper(z)
+        t1 = qm / (s + 1) * (4 * m * qm / mpf(2) ** m) ** s
+        t2 = qm * T / 2 * base ** (mpf(k) / 2)
+        return t1 + t2
 
 
 def theorem1_bound(b: BoundInputs, variant: str = "exact") -> mpf:
     """Full four-term advantage upper bound.
 
     ``variant`` selects how the inverse entropy factor is computed:
-    "exact" uses bisection, "closed-form" uses the algebraic upper bound
-    (slightly larger, much cheaper).
+    "exact" solves h(p) = z to 1e-12 (``entropy_h_inv``), "closed-form"
+    uses the algebraic upper bound (slightly larger, cheaper still).
     """
-    if variant not in ("exact", "closed-form"):
-        raise ValueError(f"unknown variant {variant!r}")
-    if b.passes < 1:
-        raise ValueError("passes must be at least 1 for the advantage bound")
     with mpmath.workprec(PRECISION_BITS):
-        q = _to_mpf(b.queries)
-        if q == 0:
-            return mpf(0)
-        z = _hinv_arg(b, q)
-        if z < 0:
-            raise ValueError(
-                f"invalid inputs: 1 - (alpha + num_probes)/n_bits = "
-                f"{mpmath.nstr(z, 6)} is negative (key too small for these "
-                f"parameters)"
-            )
-        base = entropy_h_inv(z) if variant == "exact" else h_inv_upper(z)
-        m, k, s, T = b.msg_bits, b.num_probes, b.passes, b.rounds
-        p = _to_mpf(b.oracle_calls)
-        two_m = mpf(2) ** m
-        t1 = q / (s + 1) * (4 * m * q / two_m) ** s
-        t2 = q * T / 2 * base ** (mpf(k) / 2)
-        t3 = q * p / (two_m / 2)
-        t4 = q * T / two_m
-        return t1 + t2 + t3 + t4
-
-
-def gamma_bound(b: BoundInputs, q: Number, variant: str = "exact") -> mpf:
-    """The two leading bound terms at query count ``q`` (linear domain)."""
-    if variant not in ("exact", "closed-form"):
-        raise ValueError(f"unknown variant {variant!r}")
-    if b.passes < 1:
-        raise ValueError("passes must be at least 1 for the advantage bound")
-    with mpmath.workprec(PRECISION_BITS):
-        qm = _to_mpf(q)
-        if qm < 0:
-            raise ValueError("q must be nonnegative")
-        if qm == 0:
-            return mpf(0)
-        z = _hinv_arg(b, qm)
-        if z < 0:
-            raise ValueError(
-                "invalid inputs: 1 - (alpha + num_probes)/n_bits is negative"
-            )
-        base = entropy_h_inv(z) if variant == "exact" else h_inv_upper(z)
-        m, k, s, T = b.msg_bits, b.num_probes, b.passes, b.rounds
-        two_m = mpf(2) ** m
-        t1 = qm / (s + 1) * (4 * m * qm / two_m) ** s
-        t2 = qm * T / 2 * base ** (mpf(k) / 2)
-        return t1 + t2
+        q, p = _to_mpf(b.queries), _to_mpf(b.oracle_calls)
+        two_m = mpf(2) ** b.msg_bits
+        return (gamma_bound(b, q, variant)
+                + q * p / (two_m / 2) + q * b.rounds / two_m)
 
 
 def log2_gamma(b: BoundInputs, q: Number, variant: str = "exact") -> mpf:
-    """log2 of the two leading terms, computed without leaving log space.
+    """log2 of ``gamma_bound``, the value the curve generator reports.
 
-    This is the underflow-proof route used by the curve generator; tests
-    hold it to the linear-domain ``gamma_bound`` evaluation.
+    mpf exponents are unbounded, so this stays exact for bounds far below
+    the float range.
     """
-    if variant not in ("exact", "closed-form"):
-        raise ValueError(f"unknown variant {variant!r}")
-    if b.passes < 1:
-        raise ValueError("passes must be at least 1 for the advantage bound")
     with mpmath.workprec(PRECISION_BITS):
-        qm = _to_mpf(q)
-        if qm < 0:
-            raise ValueError("q must be nonnegative")
-        if qm == 0:
-            return mpf("-inf")
-        z = _hinv_arg(b, qm)
-        if z < 0:
-            raise ValueError(
-                "invalid inputs: 1 - (alpha + num_probes)/n_bits is negative"
-            )
-        base = entropy_h_inv(z) if variant == "exact" else h_inv_upper(z)
-        m, k, s, T = b.msg_bits, b.num_probes, b.passes, b.rounds
-        lg_q = mpmath.log(qm, 2)
-        lg_t1 = lg_q - mpmath.log(s + 1, 2) + s * (mpmath.log(4 * m * qm, 2) - m)
-        if T == 0:
-            return lg_t1
-        lg_t2 = lg_q + mpmath.log(T, 2) - 1 + mpf(k) / 2 * mpmath.log(base, 2)
-        hi, lo = max(lg_t1, lg_t2), min(lg_t1, lg_t2)
-        return hi + mpmath.log(1 + mpf(2) ** (lo - hi), 2)
+        return mpmath.log(gamma_bound(b, q, variant), 2)
 
 
 @dataclass(frozen=True)
@@ -286,28 +277,20 @@ def gamma_curve(b: BoundInputs, q_values: Iterable[Number]) -> List[GammaPoint]:
         for q in q_values:
             qm = _to_mpf(q)
             lg_q = float(mpmath.log(qm, 2)) if qm > 0 else float("-inf")
+            neg, reason = None, ""
             if qm < 0:
-                points.append(GammaPoint(float(q), lg_q, None, False, "q < 0"))
-                continue
-            if qm * c > mpf(2) ** b.msg_bits:
-                points.append(GammaPoint(
-                    float(q), lg_q, None, False,
-                    "q * floor(leak_bits/msg_bits) > 2^msg_bits",
-                ))
-                continue
-            if _hinv_arg(b, qm) < 0:
-                points.append(GammaPoint(
-                    float(q), lg_q, None, False,
-                    "1 - (alpha + num_probes)/n_bits < 0",
-                ))
-                continue
-            lg = log2_gamma(b, q)
-            if lg > 0:
-                points.append(GammaPoint(
-                    float(q), lg_q, None, False, "bound exceeds 1",
-                ))
-                continue
-            points.append(GammaPoint(float(q), lg_q, float(-lg), True))
+                reason = "q < 0"
+            elif qm * c > mpf(2) ** b.msg_bits:
+                reason = "q * floor(leak_bits/msg_bits) > 2^msg_bits"
+            else:
+                try:
+                    neg = float(-log2_gamma(b, qm))
+                except _KeyTooSmall:
+                    reason = "1 - (alpha + num_probes)/n_bits < 0"
+                else:
+                    if neg < 0:
+                        neg, reason = None, "bound exceeds 1"
+            points.append(GammaPoint(float(q), lg_q, neg, not reason, reason))
     return points
 
 
@@ -346,8 +329,3 @@ def naive_adv_lower(b: BoundInputs) -> NaiveAdvBound:
         hypergeometric=hyper,
         hypothesis_ok=(q * c <= two_m),
     )
-
-
-def replace_queries(b: BoundInputs, q: Number) -> BoundInputs:
-    """Convenience: the same inputs at a different query count."""
-    return replace(b, queries=q)

@@ -81,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="direct oracle calls by the adversary (default 0)")
     p.add_argument("--closed-form", action="store_true",
                    help="use the algebraic inverse-entropy upper bound "
-                   "instead of bisection")
+                   "instead of solving h(p) = z to 1e-12")
 
     p = sub.add_parser("curve", help="emit the leading-terms bound curve as CSV")
     _add_bound_args(p)
@@ -127,15 +127,20 @@ def _add_bound_args(p: argparse.ArgumentParser) -> None:
                    "T = S * (2M - 1), with a warning)")
 
 
-def _bound_inputs(args, queries, oracle_calls=0.0) -> bounds.BoundInputs:
+def _explicit_rounds(args) -> Optional[int]:
+    """``--rounds`` if given, after warning that it overrides the bound's T."""
     if args.rounds is not None:
         print(
             "warning: --rounds overrides the derived round count; the "
             "advantage bound assumes T = passes * (2 * bits - 1)",
             file=sys.stderr,
         )
-        rounds = args.rounds
-    else:
+    return args.rounds
+
+
+def _bound_inputs(args, queries, oracle_calls=0.0) -> bounds.BoundInputs:
+    rounds = _explicit_rounds(args)
+    if rounds is None:
         rounds = args.passes * (2 * args.bits - 1)
     return bounds.BoundInputs(
         n_bits=args.n,
@@ -150,14 +155,10 @@ def _bound_inputs(args, queries, oracle_calls=0.0) -> bounds.BoundInputs:
 
 
 def _cipher_params(args, n_bits: int) -> CipherParams:
-    if args.rounds is not None:
-        print(
-            "warning: --rounds overrides the derived round count; the "
-            "advantage bound assumes T = passes * (2 * bits - 1)",
-            file=sys.stderr,
-        )
+    rounds = _explicit_rounds(args)
+    if rounds is not None:
         return CipherParams(n_bits=n_bits, msg_bits=args.bits,
-                            num_probes=args.probes, rounds=args.rounds)
+                            num_probes=args.probes, rounds=rounds)
     return CipherParams.from_passes(n_bits, args.bits, args.probes,
                                     args.passes)
 

@@ -49,7 +49,8 @@ def test_generate_masks_padding_bits(tmp_path):
     with pytest.raises(IndexError):
         key.get_bit(13)
     key.save(tmp_path / "key.bk")
-    assert (tmp_path / "key.bk").read_bytes()[-1] == 0x0F
+    # the last key byte, before the 4-byte header checksum
+    assert (tmp_path / "key.bk").read_bytes()[-5] == 0x0F
 
 
 def test_generate_requires_enough_randomness():
@@ -165,10 +166,22 @@ def test_load_rejects_unknown_version(tmp_path):
     path = tmp_path / "key.bk"
     BigKey.generate(64, seed_randomness(8, 5)).save(path)
     raw = bytearray(path.read_bytes())
-    raw[4] = 2
+    raw[4] = 3
     path.write_bytes(bytes(raw))
     with pytest.raises(KeyFileVersionError):
         BigKey.load(path)
+
+
+def test_version_1_file_without_checksum_still_loads(tmp_path):
+    path = tmp_path / "key.bk"
+    key = BigKey.generate(100, seed_randomness(13, 3))
+    key.save(path)
+    raw = bytearray(path.read_bytes()[:-4])
+    raw[4] = 1
+    path.write_bytes(bytes(raw))
+    with BigKey.load(path) as old:
+        assert [old.get_bit(i) for i in range(1, 101)] == \
+            [key.get_bit(i) for i in range(1, 101)]
 
 
 def test_load_rejects_oracle_mismatch(tmp_path):
@@ -201,7 +214,7 @@ def test_load_rejects_dirty_padding(tmp_path):
     path = tmp_path / "key.bk"
     BigKey.generate(12, b"\x00\x00").save(path)
     raw = bytearray(path.read_bytes())
-    raw[-1] = 0xF0  # padding positions 13..16 must stay clear
+    raw[-5] = 0xF0  # padding positions 13..16 must stay clear
     path.write_bytes(bytes(raw))
     with pytest.raises(KeyFileError):
         BigKey.load(path)

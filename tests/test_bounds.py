@@ -104,6 +104,52 @@ def test_h_inv_respects_tolerance_argument():
         entropy_h_inv(0.3, tol=0)
 
 
+def _h_inv_500bit(z, tol=1e-60):
+    """Root of h(p) = z on [1/2, 1] by 500-bit bisection, coded independently."""
+    with mpmath.workprec(500):
+        zm = (mpmath.mpf(z.numerator) / z.denominator
+              if isinstance(z, Fraction) else mpmath.mpf(z))
+
+        def f(p):
+            if p == 1:
+                return -zm
+            return -p * mpmath.log(p, 2) - (1 - p) * mpmath.log(1 - p, 2) - zm
+
+        return mpmath.findroot(
+            f, (mpmath.mpf(1) / 2, mpmath.mpf(1)), solver="bisect",
+            tol=mpmath.mpf(tol), maxsteps=400,
+        )
+
+
+@pytest.mark.parametrize("z", [
+    5e-324, 1e-300, 2**-53, 0.5, 0.625, 0.875, 1 - 2**-53,
+    Fraction(1) - Fraction(1, 10**30), Fraction(5, 8), Fraction(1, 3),
+])
+def test_h_inv_matches_500bit_root(z):
+    root = _h_inv_500bit(z)
+    for tol in (1e-4, 1e-12, 1e-30):
+        ours = entropy_h_inv(z, tol=tol)
+        assert 0.5 <= ours <= 1
+        with mpmath.workprec(500):
+            assert abs(ours - root) <= tol, (z, tol)
+
+
+def test_h_inv_below_the_seed_resolution():
+    # z this small makes the closed-form seed round to exactly 1, and the
+    # root sits closer to 1 than tol: the result must still be in tol
+    z, tol = 1e-60, 1e-65
+    ours = entropy_h_inv(z, tol=tol)
+    with mpmath.workprec(500):
+        assert abs(ours - _h_inv_500bit(z, tol=1e-80)) <= tol
+
+
+def test_h_inv_tol_below_working_precision_terminates():
+    # 1e-100 is finer than the 240-bit grid: the result is at that grid
+    ours = entropy_h_inv(0.3, tol=1e-100)
+    with mpmath.workprec(500):
+        assert abs(ours - _h_inv_500bit(0.3, tol=1e-100)) <= 1e-70
+
+
 def test_h_inv_upper_dominates_and_matches_float_route():
     # independent float evaluation of the algebraic form
     for i in range(101):
@@ -242,11 +288,18 @@ def test_example_bound_frozen_values():
 
 
 def test_log_domain_route_agrees_with_linear():
+    # the linear-domain leading terms at 500 bits, coded independently
+    m, k, s, T = (EXAMPLE.msg_bits, EXAMPLE.num_probes, EXAMPLE.passes,
+                  EXAMPLE.rounds)
     for q in (2**10, 2**20, 2**30, 12345.0):
-        lg = log2_gamma(EXAMPLE, q)
-        with mpmath.workprec(240):
-            linear = mpmath.log(gamma_bound(EXAMPLE, q), 2)
-        assert abs(float(lg - linear)) < 1e-9
+        z = 1 - (EXAMPLE.leak_bits + m * (Fraction(q) + 1) + T + k) / Fraction(
+            EXAMPLE.n_bits)
+        root = _h_inv_500bit(z)
+        with mpmath.workprec(500):
+            qm = mpmath.mpf(q)
+            linear = (qm / (s + 1) * (4 * m * qm / mpmath.mpf(2) ** m) ** s
+                      + qm * T / 2 * root ** (mpmath.mpf(k) / 2))
+            assert abs(log2_gamma(EXAMPLE, q) - mpmath.log(linear, 2)) < 1e-9
 
 
 def test_gamma_monotone_in_q():

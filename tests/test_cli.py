@@ -194,6 +194,15 @@ def test_bounds_closed_form_label_and_violation(capsys):
     assert out.strip().endswith("violated")
 
 
+def test_rounds_override_warns_once(key_path, capsys):
+    crypt = ["encrypt", "--key", str(key_path), "--bits", "16", "--probes",
+             "8", "--rounds", "40", "--in", "1234"]
+    bound = ["bounds", *_BOUND_ARGS, "--rounds", "40", "--queries", "1024"]
+    for argv in (crypt, bound):
+        assert main(argv) == 0
+        assert capsys.readouterr().err.count("warning: --rounds") == 1
+
+
 def test_bounds_rejects_oversubscribed_key(capsys):
     # alpha + probes exceeds the key size, the bound has no valid domain
     argv = ["bounds", "--n", "16384", "--leak", "64", "--bits", "16",
