@@ -19,13 +19,13 @@ spare positions of the last byte must be zero.  The embedded oracle
 identifier pins which stream backend the key was meant for, and loading
 fails closed on a bad magic, an unknown version, a mismatched identifier,
 a wrong byte count, dirty padding, or a header checksum mismatch.  The
-checksum (new in version 2) catches a damaged N that keeps ceil(N / 8),
-which nothing else in the file can; version 1 files, which lack it,
-still load.  Saving writes a temporary file in the target's directory
-and renames it over the target, so a save never truncates a file that a
-mapped key is still reading.  Another program that truncates a mapped key
-file in place makes reads past the new end fault (SIGBUS); this module
-never does so.
+checksum catches a damaged N that keeps ceil(N / 8), which nothing else
+in the file can, so version 1 files, which lack it, raise
+``KeyFileVersionError`` like any other version but 2.  Saving writes a
+temporary file in the target's directory and renames it over the target,
+so a save never truncates a file that a mapped key is still reading.
+Another program that truncates a mapped key file in place makes reads past
+the new end fault (SIGBUS); this module never does so.
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ class BigKey:
             vb = f.read(1)
             if len(vb) != 1:
                 raise KeyFileError(f"{path}: truncated header")
-            if not 1 <= vb[0] <= VERSION:
+            if vb[0] != VERSION:
                 raise KeyFileVersionError(
                     f"{path}: unsupported key file version {vb[0]}"
                 )
@@ -169,17 +169,15 @@ class BigKey:
                 raise KeyFileError(f"{path}: implausible key size {n_bits}")
             offset = 4 + 1 + 1 + lb[0] + 8
             needed = (n_bits + 7) // 8
-            checksum = 0 if vb[0] == 1 else 4
             size = os.fstat(f.fileno()).st_size
-            if size != offset + needed + checksum:
+            if size != offset + needed + 4:
                 raise KeyFileError(
-                    f"{path}: expected {offset + needed + checksum} bytes, "
+                    f"{path}: expected {offset + needed + 4} bytes, "
                     f"file has {size}"
                 )
-            if checksum:
-                f.seek(offset + needed)
-                if f.read(4) != _crc(magic + vb + lb + ident_raw + nb):
-                    raise KeyFileError(f"{path}: header checksum mismatch")
+            f.seek(offset + needed)
+            if f.read(4) != _crc(magic + vb + lb + ident_raw + nb):
+                raise KeyFileError(f"{path}: header checksum mismatch")
             if n_bits % 8:
                 f.seek(offset + needed - 1)
                 last = f.read(1)[0]

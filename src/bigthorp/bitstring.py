@@ -98,6 +98,8 @@ class BitString:
     def from_hex(cls, text: str, length: int) -> "BitString":
         if length < 0:
             raise ValueError("length must be nonnegative")
+        if text == "" and length == 0:  # to_hex() of the empty string
+            return cls.zeros(0)
         try:
             value = int(text, 16)
         except (ValueError, TypeError):

@@ -17,25 +17,26 @@ case and extended in 512-byte steps when rejections run past it; because
 oracle streams are prefix-consistent this re-request changes nothing that
 was already decoded.  A run of 1000 consecutive rejections aborts, since
 for any N >= 1 the accept probability per word exceeds 1/2 and such a run
-indicates a broken oracle backend rather than bad luck.
+indicates a broken oracle backend rather than bad luck.  Steps 1 to 3,
+with the request sizes, the extension and the cap, belong to one private
+decoder, ``_probe_decoder``: ``encrypt``/``decrypt``, ``derive_probes``
+and ``verify.bias_estimate`` all decode through it.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from itertools import compress
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 from .bigkey import BigKey
 from .bitstring import BitString
-from .oracle import PROBE_TAG, Oracle, OracleQuery, encode_query
+from .oracle import PROBE_TAG, Oracle, OracleQuery
 
 REJECTION_CAP = 1000
 _WORD = 8
 _B = 1 << 64
 _EXTEND = 512
-_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)
@@ -109,6 +110,53 @@ class ProbeDraw:
         )
 
 
+def _probe_decoder(params: CipherParams):
+    """``decode(stream, query) -> (words, mask)`` for one cipher shape.
+
+    ``stream(query, n)`` gives the first n stream bytes for ``query``.
+    ``words`` are the k accepted 64-bit probe words in draw order (probe j
+    is key bit ``words[j - 1] % N + 1``); bit j - 1 of the int ``mask``
+    selects probe j.
+    """
+    k, n = params.num_probes, params.n_bits
+    threshold = n * (_B // n)
+    mask_bytes = (k + 7) // 8
+    need = _WORD * k + mask_bytes
+    unpack = struct.Struct(f">{k}Q").unpack_from
+    low_k = (1 << k) - 1
+
+    def decode(stream, query):
+        data = stream(query, need)
+        words = unpack(data)
+        # no word is ever rejected when N is a power of two
+        if threshold == _B or max(words) < threshold:
+            return words, int.from_bytes(data[need - mask_bytes:], "little") & low_k
+        words = []
+        size = need
+        pos = consecutive = 0
+        while len(words) < k:
+            if pos + _WORD > len(data):
+                size += _EXTEND
+                data = stream(query, size)
+            word = int.from_bytes(data[pos : pos + _WORD], "big")
+            pos += _WORD
+            if word >= threshold:
+                consecutive += 1
+                if consecutive >= REJECTION_CAP:
+                    raise RuntimeError(
+                        f"{REJECTION_CAP} consecutive rejections while sampling "
+                        "probes; oracle backend is not producing uniform bytes")
+                continue
+            consecutive = 0
+            words.append(word)
+        if pos + mask_bytes > len(data):
+            data = stream(query, pos + mask_bytes)
+        mask = int.from_bytes(data[pos : pos + mask_bytes], "little")
+        return words, mask & low_k
+
+    return decode
+
+
 def derive_probes(
     oracle: Oracle, r_bits: BitString, round_index: int, params: CipherParams
 ) -> ProbeDraw:
@@ -120,38 +168,10 @@ def derive_probes(
             f"round input has {len(r_bits)} bits, expected {params.msg_bits - 1}"
         )
     query = OracleQuery(PROBE_TAG, round_index, params.msg_bits, r_bits)
-    k = params.num_probes
+    words, mask = _probe_decoder(params)(oracle.stream, query)
     n = params.n_bits
-    mask_bytes = (k + 7) // 8
-    threshold = n * (_B // n)
-
-    need = _WORD * k + mask_bytes
-    buf = oracle.stream(query, need)
-    probes = []
-    pos = 0
-    consecutive = 0
-    while len(probes) < k:
-        if pos + _WORD > len(buf):
-            need += _EXTEND
-            buf = oracle.stream(query, need)
-        word = int.from_bytes(buf[pos : pos + _WORD], "big")
-        pos += _WORD
-        if word >= threshold:
-            consecutive += 1
-            if consecutive >= REJECTION_CAP:
-                raise RuntimeError(
-                    f"{REJECTION_CAP} consecutive rejections while sampling "
-                    f"probes; oracle backend is not producing uniform bytes"
-                )
-            continue
-        consecutive = 0
-        probes.append(word % n + 1)
-    if pos + mask_bytes > len(buf):
-        buf = oracle.stream(query, pos + mask_bytes)
-    masked = int.from_bytes(buf[pos : pos + mask_bytes], "little")
-    masked &= (1 << k) - 1
-    mask = BitString.from_bytes(masked.to_bytes(mask_bytes, "little"), k)
-    return ProbeDraw(tuple(probes), mask)
+    return ProbeDraw(tuple(w % n + 1 for w in words),
+                     BitString._make(params.num_probes, mask))
 
 
 def draw_bit(key: BigKey, draw: ProbeDraw) -> int:
@@ -173,41 +193,3 @@ def prf_bit(
             f"key has {key.n_bits} bits but params expect {params.n_bits}"
         )
     return draw_bit(key, derive_probes(oracle, r_bits, round_index, params))
-
-
-def _round_function(
-    key: BigKey, oracle: Oracle, params: CipherParams
-) -> Callable[[int, int], int]:
-    """``prf_bit`` as F(r, round_index) on round inputs held as big-endian ints.
-
-    For callers that have checked ``key`` against ``params`` once.  A round
-    whose k probe words all fall below the rejection threshold, as every
-    round does when N is a power of two, is decoded here from the initial
-    stream request and XORs the selected key bits straight from the key's
-    buffer.  Any other round goes through ``prf_bit``, which owns
-    rejection, stream extension and the rejection cap.
-    """
-    m, k, n = params.msg_bits, params.num_probes, params.n_bits
-    threshold = n * (_B // n)
-    need = _WORD * k + (k + 7) // 8
-    unpack = struct.Struct(f">{k}Q").unpack_from
-    mask_digits = f"0{k}b"
-    low_k = (1 << k) - 1
-    stream, buf, offset = oracle.stream_bytes, key._buf, key._offset
-
-    def f(r: int, round_index: int) -> int:
-        data = stream(encode_query(PROBE_TAG, round_index, m, r), need)
-        words = unpack(data)
-        if threshold < _B and max(words) >= threshold:
-            r_bits = BitString.from_int(r, m - 1)
-            return prf_bit(key, oracle, r_bits, round_index, params)
-        mask = int.from_bytes(data[_WORD * k :], "little") & low_k
-        # binary digits of the mask run from probe k down to probe 1
-        selected = format(mask, mask_digits).encode().translate(_DIGITS)
-        bit = 0
-        for word in compress(reversed(words), selected):
-            p = word % n
-            bit ^= buf[offset + (p >> 3)] >> (p & 7)
-        return bit & 1
-
-    return f

@@ -42,10 +42,10 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .bigkey import BigKey, seed_randomness
-from .bitstring import BitString
+from .bitstring import _reverse_bits
 from .bounds import entropy_h, entropy_h_inv
-from .oracle import Oracle, ScriptedOracle, Shake256Oracle
-from .prf import CipherParams, derive_probes, draw_bit
+from .oracle import PROBE_TAG, Oracle, ScriptedOracle, Shake256Oracle, encode_query
+from .prf import CipherParams, _probe_decoder
 
 _MAX_TABLE_BITS = 20
 _MAX_PARSEVAL_BITS = 16
@@ -347,6 +347,8 @@ def bias_estimate(
     max_round = 1 << 16
     if (1 << (m - 1)) * (max_round - 1) < 2 * trials:
         raise ValueError("message width too small for this many distinct queries")
+    decode = _probe_decoder(params)
+    stream, buf, base, n = oracle.stream_bytes, key._buf, key._offset, key.n_bits
     rng = random.Random(seed)
     seen = set()
     ones = 0
@@ -357,18 +359,22 @@ def bias_estimate(
         if (r_value, round_index) in seen:
             continue
         seen.add((r_value, round_index))
-        r_bits = BitString.from_bytes(
-            r_value.to_bytes((m - 1 + 7) // 8, "little"), m - 1
-        )
-        draw = derive_probes(oracle, r_bits, round_index, params)
-        ones += draw_bit(key, draw)
+        # r_value fills the round input from bit 1 up: bit 1 is its low bit
+        query = encode_query(PROBE_TAG, round_index, m,
+                             _reverse_bits(r_value, m - 1))
+        words, mask = decode(stream, query)
+        offsets = [w % n for w in words]
+        bit = 0
+        for j, p in enumerate(offsets):
+            bit ^= (mask >> j) & (buf[base + (p >> 3)] >> (p & 7))
+        ones += bit & 1
         if lt is None:
-            d = len(set(draw.probes))
+            d = len(set(offsets))
             bound_acc += 0.5 * 2.0 ** (-d / 2.0)
         else:
             idx = np.zeros(fiber_size, dtype=np.int64)
-            for j, p in enumerate(draw.probes):
-                idx |= bits[p - 1] << j
+            for j, p in enumerate(offsets):
+                idx |= bits[p] << j
             _, counts = np.unique(idx, return_counts=True)
             g = float(((counts / fiber_size) ** 2).sum())
             bound_acc += 0.5 * math.sqrt(g)
@@ -379,8 +385,8 @@ def bias_estimate(
 # suites
 
 
-def run_parseval_suite(max_n: int = 10, per_n: int = 500, seed: int = 101,
-                       **_ignored) -> List[CheckResult]:
+def run_parseval_suite(max_n: int = 10, per_n: int = 500,
+                       seed: int = 101) -> List[CheckResult]:
     results = []
     for name, d, note in (
         ("parseval/point-mass", DistributionTable.point_mass(4, 5),
@@ -405,8 +411,8 @@ def run_parseval_suite(max_n: int = 10, per_n: int = 500, seed: int = 101,
 
 
 def run_fiber_entropy_suite(count: int = 100, n0: int = 10, l0: int = 3,
-                            tail_m: float = 2.0, seed: int = 202,
-                            **_ignored) -> List[CheckResult]:
+                            tail_m: float = 2.0,
+                            seed: int = 202) -> List[CheckResult]:
     results = []
     r = leakage_entropy_check(LeakageTable.projection(4, 2), tail_m)
     diff = abs(r.mean_fiber_entropy - r.bound)
@@ -440,8 +446,8 @@ def run_fiber_entropy_suite(count: int = 100, n0: int = 10, l0: int = 3,
     return results
 
 
-def run_decomposition_suite(count: int = 100, n0: int = 8, seed: int = 303,
-                            **_ignored) -> List[CheckResult]:
+def run_decomposition_suite(count: int = 100, n0: int = 8,
+                            seed: int = 303) -> List[CheckResult]:
     results = []
     s, e = decomposition_check(range(1 << n0), n0)
     diff = abs(s - e)
@@ -470,7 +476,7 @@ def run_decomposition_suite(count: int = 100, n0: int = 8, seed: int = 303,
 
 def run_collision_suite(n0: int = 8, ks: Sequence[int] = (1, 2, 3),
                         num_tables: int = 20, l0_values: Sequence[int] = (1, 2),
-                        seed: int = 404, **_ignored) -> List[CheckResult]:
+                        seed: int = 404) -> List[CheckResult]:
     results = []
     constant = LeakageTable.constant(n0, 1)
     for k in ks:
@@ -514,8 +520,7 @@ def run_collision_suite(n0: int = 8, ks: Sequence[int] = (1, 2, 3),
     return results
 
 
-def run_bias_suite(seed: int = 505, trials: int = 10**4,
-                   **_ignored) -> List[CheckResult]:
+def run_bias_suite(seed: int = 505, trials: int = 10**4) -> List[CheckResult]:
     results = []
     zero_key = BigKey.generate(16, b"\x00\x00")
     params16 = CipherParams(n_bits=16, msg_bits=9, num_probes=8, rounds=17)

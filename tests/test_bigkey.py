@@ -172,16 +172,19 @@ def test_load_rejects_unknown_version(tmp_path):
         BigKey.load(path)
 
 
-def test_version_1_file_without_checksum_still_loads(tmp_path):
+def test_version_1_file_is_rejected(tmp_path):
+    # version 1 had no header checksum, so a damaged N could load silently
     path = tmp_path / "key.bk"
-    key = BigKey.generate(100, seed_randomness(13, 3))
-    key.save(path)
+    BigKey.generate(100, seed_randomness(13, 3)).save(path)
     raw = bytearray(path.read_bytes()[:-4])
     raw[4] = 1
     path.write_bytes(bytes(raw))
-    with BigKey.load(path) as old:
-        assert [old.get_bit(i) for i in range(1, 101)] == \
-            [key.get_bit(i) for i in range(1, 101)]
+    with pytest.raises(KeyFileVersionError):
+        BigKey.load(path)
+    raw[-14] ^= 0x01  # N 100 -> 101: the damage version 1 let through
+    path.write_bytes(bytes(raw))
+    with pytest.raises(KeyFileVersionError):
+        BigKey.load(path)
 
 
 def test_load_rejects_oracle_mismatch(tmp_path):

@@ -142,6 +142,7 @@ def test_hex_width_is_ceil_of_quarter_length():
     assert BitString.zeros(5).to_hex() == "00"
     assert BitString.zeros(12).to_hex() == "000"
     assert BitString("").to_hex() == ""
+    assert BitString.from_hex("", 0) == BitString.zeros(0)
 
 
 def test_hex_rejects_values_too_wide():
@@ -150,6 +151,8 @@ def test_hex_rejects_values_too_wide():
     BitString.from_hex("1f", 5)
     with pytest.raises(ValueError):
         BitString.from_hex("zz", 8)
+    with pytest.raises(ValueError):
+        BitString.from_hex("zz", 0)
     with pytest.raises(ValueError):
         BitString.from_hex("", 8)
     with pytest.raises(ValueError):

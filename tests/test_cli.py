@@ -260,6 +260,11 @@ def test_verify_seed_override(capsys):
     assert "fiber-entropy/random-mean" in capsys.readouterr().out
 
 
+def test_verify_trials_reach_only_the_bias_suite(capsys):
+    assert main(["verify", "--suite", "parseval", "--trials", "7"]) == 0
+    assert "parseval/uniform" in capsys.readouterr().out
+
+
 def test_verify_repeated_suite_runs_once(tmp_path):
     once = tmp_path / "once.json"
     twice = tmp_path / "twice.json"

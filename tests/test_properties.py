@@ -49,8 +49,7 @@ def test_bitstring_codecs_round_trip(bits):
     n = len(bits)
     assert BitString.from_int(bits.to_int(), n) == bits
     assert BitString.from_bytes(bits.to_bytes(), n) == bits
-    if n:  # the empty string's hex form "" does not parse back
-        assert BitString.from_hex(bits.to_hex(), n) == bits
+    assert BitString.from_hex(bits.to_hex(), n) == bits
     assert BitString(bits.bits()) == bits
 
 
