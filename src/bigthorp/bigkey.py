@@ -102,7 +102,6 @@ class BigKey:
             )
         self.n_bits = n_bits
         self.oracle_id = oracle_id
-        self.version = VERSION
         self._buf = buf
         self._offset = offset
 

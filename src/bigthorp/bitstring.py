@@ -138,15 +138,6 @@ class BitString:
             raise IndexError(f"bit index {i} out of range 1..{self._length}")
         return (self._value >> (i - 1)) & 1
 
-    def set_bit(self, i: int, bit: int) -> "BitString":
-        if not 1 <= i <= self._length:
-            raise IndexError(f"bit index {i} out of range 1..{self._length}")
-        if bit not in (0, 1):
-            raise ValueError(f"invalid bit value {bit!r}")
-        mask = 1 << (i - 1)
-        value = (self._value | mask) if bit else (self._value & ~mask)
-        return self._make(self._length, value)
-
     # -- structural operations ----------------------------------------
 
     def split_lr(self) -> tuple:
@@ -162,12 +153,6 @@ class BitString:
         head = self._value & ((1 << (self._length - 1)) - 1)
         return self._make(self._length - 1, head), self._value >> (self._length - 1)
 
-    def concat(self, other: "BitString") -> "BitString":
-        return self._make(
-            self._length + other._length,
-            self._value | (other._value << self._length),
-        )
-
     def append_bit(self, bit: int) -> "BitString":
         if bit not in (0, 1):
             raise ValueError(f"invalid bit value {bit!r}")
@@ -177,15 +162,6 @@ class BitString:
         if bit not in (0, 1):
             raise ValueError(f"invalid bit value {bit!r}")
         return self._make(self._length + 1, bit | (self._value << 1))
-
-    def xor(self, other: "BitString") -> "BitString":
-        if self._length != other._length:
-            raise ValueError(
-                f"length mismatch: {self._length} vs {other._length}"
-            )
-        return self._make(self._length, self._value ^ other._value)
-
-    __xor__ = xor
 
     # -- dunders -------------------------------------------------------
 

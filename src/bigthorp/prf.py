@@ -19,14 +19,17 @@ was already decoded.  A run of 1000 consecutive rejections aborts, since
 for any N >= 1 the accept probability per word exceeds 1/2 and such a run
 indicates a broken oracle backend rather than bad luck.  Steps 1 to 3,
 with the request sizes, the extension and the cap, belong to one private
-decoder, ``_probe_decoder``: ``encrypt``/``decrypt``, ``derive_probes``
-and ``verify.bias_estimate`` all decode through it.
+decoder, ``_probe_decoder``; step 4 on the key's buffer belongs to one
+private round function over it, ``_round_function``, which ``encrypt``,
+``decrypt`` and ``verify.bias_estimate`` call for every round bit.  The
+staged ``derive_probes``/``prf_bit`` read the key through ``BigKey.subkey``.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional, Tuple
 
 from .bigkey import BigKey
@@ -37,6 +40,7 @@ REJECTION_CAP = 1000
 _WORD = 8
 _B = 1 << 64
 _EXTEND = 512
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)
@@ -102,13 +106,6 @@ class ProbeDraw:
                 f"{len(self.probes)} probes"
             )
 
-    def subset_indices(self) -> Tuple[int, ...]:
-        """1-based indices of the selected probes."""
-        return tuple(
-            i for i in range(1, len(self.probes) + 1)
-            if self.subset_mask.get_bit(i)
-        )
-
 
 def _probe_decoder(params: CipherParams):
     """``decode(stream, query) -> (words, mask)`` for one cipher shape.
@@ -155,6 +152,29 @@ def _probe_decoder(params: CipherParams):
         return words, mask & low_k
 
     return decode
+
+
+def _round_function(params: CipherParams, key: BigKey):
+    """``bit(stream, query) -> (bit, words)``: the round function on a key.
+
+    ``words`` are the decoder's probe words; word w selects key bit
+    w % N + 1.  Callers check once that the key has ``params.n_bits`` bits.
+    """
+    decode = _probe_decoder(params)
+    n, buf, offset = params.n_bits, key._buf, key._offset
+    mask_digits = f"0{params.num_probes}b"
+
+    def bit(stream, query):
+        words, mask = decode(stream, query)
+        # binary digits of the mask run from probe k down to probe 1
+        selected = format(mask, mask_digits).encode().translate(_DIGITS)
+        acc = 0
+        for word in compress(reversed(words), selected):
+            p = word % n
+            acc ^= buf[offset + (p >> 3)] >> (p & 7)
+        return acc & 1, words
+
+    return bit
 
 
 def derive_probes(

@@ -11,23 +11,19 @@ every round (and hence the whole cipher) is a permutation no matter what
 F is.  Encryption runs rounds 1..T in order; decryption runs the same
 rounds in reverse.  T = 0 is the identity map.
 
-``encrypt`` and ``decrypt`` check their arguments once and run every round
-on the state held as an integer, through the ``prf`` probe decoder and the
-key's buffer.  ``round_forward`` and ``round_backward`` are the same rounds
-on bit strings, staged through ``derive_probes`` and ``draw_bit``: views
-over the same decoder.
+This module is the Feistel network and nothing else: the round bit comes
+from ``prf``.  ``encrypt`` and ``decrypt`` check their arguments once and
+run every round on the state held as an integer, taking F from
+``prf._round_function``.  ``round_forward`` and ``round_backward`` are the
+same rounds on bit strings, taking F from the staged ``prf_bit``.
 """
 
 from __future__ import annotations
 
-from itertools import compress
-
 from .bigkey import BigKey
 from .bitstring import BitString
 from .oracle import PROBE_TAG, Oracle, encode_query
-from .prf import CipherParams, _probe_decoder, prf_bit
-
-_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+from .prf import CipherParams, _round_function, prf_bit
 
 
 def _check(state: BitString, key: BigKey, params: CipherParams):
@@ -70,27 +66,19 @@ def round_backward(
 def _rounds(x: int, key: BigKey, oracle: Oracle, params: CipherParams,
             forward: bool) -> int:
     """All rounds on the state held as a big-endian int (bit 1 on top)."""
-    m, n = params.msg_bits, params.n_bits
-    decode = _probe_decoder(params)
-    stream, buf, offset = oracle.stream_bytes, key._buf, key._offset
-    mask_digits = f"0{params.num_probes}b"
+    m = params.msg_bits
+    bit = _round_function(params, key)
+    stream = oracle.stream_bytes
     top = m - 1
     low = (1 << top) - 1
     order = range(1, params.rounds + 1) if forward else range(params.rounds, 0, -1)
     for r in order:
         rest = x & low if forward else x >> 1
-        words, mask = decode(stream, encode_query(PROBE_TAG, r, m, rest))
-        # binary digits of the mask run from probe k down to probe 1
-        selected = format(mask, mask_digits).encode().translate(_DIGITS)
-        bit = 0
-        for word in compress(reversed(words), selected):
-            p = word % n
-            bit ^= buf[offset + (p >> 3)] >> (p & 7)
-        bit &= 1
+        f, _ = bit(stream, encode_query(PROBE_TAG, r, m, rest))
         if forward:
-            x = (rest << 1) | ((x >> top) ^ bit)
+            x = (rest << 1) | ((x >> top) ^ f)
         else:
-            x = (((x & 1) ^ bit) << top) | rest
+            x = (((x & 1) ^ f) << top) | rest
     return x
 
 

@@ -24,7 +24,9 @@ The checks, stated over explicit tables:
   that argument is nonnegative.
 * ``bias_estimate``: Monte Carlo bias of the round-function bit over
   distinct (round input, round) queries, next to the exactly computed
-  half-root-collision-mass bound averaged over the sampled draws.
+  half-root-collision-mass bound averaged over the sampled draws.  The bit
+  is the cipher's own: the estimate calls the round function that
+  ``encrypt``/``decrypt`` call, ``prf._round_function``.
 
 Suites bundle these with fixed seeds and aggregate the worst case per
 group into ``CheckResult`` rows (name, lhs, rhs, pass) for the CLI.
@@ -45,7 +47,7 @@ from .bigkey import BigKey, seed_randomness
 from .bitstring import _reverse_bits
 from .bounds import entropy_h, entropy_h_inv
 from .oracle import PROBE_TAG, Oracle, ScriptedOracle, Shake256Oracle, encode_query
-from .prf import CipherParams, _probe_decoder
+from .prf import CipherParams, _round_function
 
 _MAX_TABLE_BITS = 20
 _MAX_PARSEVAL_BITS = 16
@@ -347,8 +349,8 @@ def bias_estimate(
     max_round = 1 << 16
     if (1 << (m - 1)) * (max_round - 1) < 2 * trials:
         raise ValueError("message width too small for this many distinct queries")
-    decode = _probe_decoder(params)
-    stream, buf, base, n = oracle.stream_bytes, key._buf, key._offset, key.n_bits
+    bit = _round_function(params, key)
+    stream, n = oracle.stream_bytes, key.n_bits
     rng = random.Random(seed)
     seen = set()
     ones = 0
@@ -362,19 +364,15 @@ def bias_estimate(
         # r_value fills the round input from bit 1 up: bit 1 is its low bit
         query = encode_query(PROBE_TAG, round_index, m,
                              _reverse_bits(r_value, m - 1))
-        words, mask = decode(stream, query)
-        offsets = [w % n for w in words]
-        bit = 0
-        for j, p in enumerate(offsets):
-            bit ^= (mask >> j) & (buf[base + (p >> 3)] >> (p & 7))
-        ones += bit & 1
+        f, words = bit(stream, query)
+        ones += f
         if lt is None:
-            d = len(set(offsets))
+            d = len({w % n for w in words})
             bound_acc += 0.5 * 2.0 ** (-d / 2.0)
         else:
             idx = np.zeros(fiber_size, dtype=np.int64)
-            for j, p in enumerate(offsets):
-                idx |= bits[p] << j
+            for j, w in enumerate(words):
+                idx |= bits[w % n] << j
             _, counts = np.unique(idx, return_counts=True)
             g = float(((counts / fiber_size) ** 2).sum())
             bound_acc += 0.5 * math.sqrt(g)

@@ -72,17 +72,6 @@ def test_get_bit_out_of_range():
             b.get_bit(i)
 
 
-def test_set_bit():
-    b = BitString("000")
-    assert b.set_bit(2, 1) == BitString("010")
-    assert b.set_bit(2, 1).set_bit(2, 0) == b
-    assert b == BitString("000")  # original untouched
-    with pytest.raises(IndexError):
-        b.set_bit(4, 1)
-    with pytest.raises(ValueError):
-        b.set_bit(1, 2)
-
-
 def test_split_lr():
     left, rest = BitString("101").split_lr()
     assert left == 1
@@ -110,22 +99,6 @@ def test_split_concat_inverse_random():
         assert rest.prepend_bit(left) == b
         head, last = b.split_last()
         assert head.append_bit(last) == b
-
-
-def test_concat():
-    assert BitString("10").concat(BitString("011")) == BitString("10011")
-    assert BitString("").concat(BitString("1")) == BitString("1")
-    assert BitString("1").concat(BitString("")) == BitString("1")
-
-
-def test_xor():
-    a = BitString("1100")
-    b = BitString("1010")
-    assert a.xor(b) == BitString("0110")
-    assert (a ^ b) == BitString("0110")
-    assert a.xor(a) == BitString.zeros(4)
-    with pytest.raises(ValueError):
-        a.xor(BitString("10"))
 
 
 def test_hex_codec_big_endian():

@@ -194,6 +194,58 @@ def test_bounds_closed_form_label_and_violation(capsys):
     assert out.strip().endswith("violated")
 
 
+_LOWER_ABOVE_UPPER = {
+    "example-1": (
+        ["--n", "262144", "--leak", "96981", "--bits", "17", "--probes",
+         "152", "--passes", "3", "--queries", "20"],
+        ["advantage upper bound (exact inverse entropy): 0.01734090389",
+         "naive adversary lower bound (simple): 0.217590332",
+         "naive adversary lower bound (hypergeometric): 0.4653403996",
+         "naive hypothesis q*floor(leak/bits) <= 2^bits: holds"],
+    ),
+    "example-2": (
+        ["--n", "1048576", "--leak", "2048", "--bits", "8", "--probes", "64",
+         "--passes", "1", "--queries", "1"],
+        ["advantage upper bound (exact inverse entropy): 0.1210937592",
+         "naive adversary lower bound (simple): 0.25",
+         "naive adversary lower bound (hypergeometric): 0.498046875",
+         "naive hypothesis q*floor(leak/bits) <= 2^bits: holds"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LOWER_ABOVE_UPPER))
+def test_bounds_lower_above_upper_stdout_is_pinned(name, capsys):
+    argv, expected = _LOWER_ABOVE_UPPER[name]
+    assert main(["bounds", *argv]) == 0
+    assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_bounds_warns_when_lower_exceeds_upper(capsys):
+    argv, _ = _LOWER_ABOVE_UPPER["example-2"]
+    assert main(["bounds", *argv, "--oracle-calls", "20.5"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "warning: naive lower bound (hypergeometric) 0.498046875 exceeds "
+        "the advantage upper bound 0.2812500092 at --oracle-calls 20.5"]
+    assert captured.out.splitlines()[0].endswith(": 0.2812500092")
+    # enough oracle calls lift the upper bound over the lower one
+    assert main(["bounds", *argv, "--oracle-calls", "64"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_bounds_simple_form_only_under_its_hypothesis(capsys):
+    argv = ["bounds", "--n", "8796093022208", "--leak", "1099511627776",
+            "--bits", "32", "--probes", "500", "--passes", "2",
+            "--queries", "16"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    assert lines[1] == ("naive adversary lower bound (simple): "
+                        "n/a (hypothesis violated)")
+    assert lines[3].endswith("violated")
+
+
 def test_rounds_override_warns_once(key_path, capsys):
     crypt = ["encrypt", "--key", str(key_path), "--bits", "16", "--probes",
              "8", "--rounds", "40", "--in", "1234"]

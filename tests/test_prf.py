@@ -1,5 +1,6 @@
 """Probe derivation, rejection sampling, subset masking, and the PRF bit."""
 
+import hashlib
 import random
 
 import pytest
@@ -18,6 +19,8 @@ from bigthorp import (
     prf_bit,
     seed_randomness,
 )
+from bigthorp.oracle import encode_query
+from bigthorp.prf import _round_function
 
 
 def params_for(n_bits, msg_bits=5, num_probes=3, rounds=9):
@@ -63,8 +66,8 @@ def test_params_validation():
 
 def test_probe_draw_validation_and_indices():
     draw = ProbeDraw((4, 9, 2), BitString("101"))
-    assert draw.subset_indices() == (1, 3)
-    assert ProbeDraw((), BitString("")).subset_indices() == ()
+    assert draw.subset_mask == BitString("101")
+    assert ProbeDraw((), BitString("")).subset_mask == BitString("")
     with pytest.raises(ValueError):
         ProbeDraw((1, 2), BitString("1"))
 
@@ -79,7 +82,6 @@ def test_decode_rule_on_scripted_words():
     draw = derive_probes(oracle, BitString.zeros(4), 1, p)
     assert draw.probes == (1, 2, 3)
     assert draw.subset_mask == BitString("101")
-    assert draw.subset_indices() == (1, 3)
 
 
 def test_decode_wraps_modulo_n():
@@ -89,7 +91,7 @@ def test_decode_wraps_modulo_n():
     draw = derive_probes(oracle, BitString.zeros(4), 1, p)
     # 16 % 16 + 1 = 1, 17 % 16 + 1 = 2, (2^64-1) % 16 + 1 = 16
     assert draw.probes == (1, 2, 16)
-    assert draw.subset_indices() == ()
+    assert draw.subset_mask == BitString("000")
 
 
 def test_rejection_skips_out_of_band_words():
@@ -100,7 +102,7 @@ def test_rejection_skips_out_of_band_words():
     oracle = ScriptedOracle(scripts={probe_query(p): script})
     draw = derive_probes(oracle, BitString.zeros(4), 1, p)
     assert draw.probes == (2,)  # 4 % 3 + 1
-    assert draw.subset_indices() == (1,)
+    assert draw.subset_mask == BitString("1")
 
 
 def test_power_of_two_n_never_rejects():
@@ -125,7 +127,7 @@ def test_stream_extension_preserves_prefix_decoding():
     oracle = ScriptedOracle(scripts={probe_query(p): script})
     draw = derive_probes(oracle, BitString.zeros(4), 1, p)
     assert draw.probes == (2, 3)  # 4 % 3 + 1, 5 % 3 + 1
-    assert draw.subset_indices() == (1, 2)
+    assert draw.subset_mask == BitString("11")
 
 
 def test_subset_mask_high_bits_dropped():
@@ -134,7 +136,6 @@ def test_subset_mask_high_bits_dropped():
     oracle = ScriptedOracle(scripts={probe_query(p): script})
     draw = derive_probes(oracle, BitString.zeros(4), 1, p)
     assert draw.subset_mask == BitString("111")
-    assert draw.subset_indices() == (1, 2, 3)
 
 
 def test_probes_always_in_range_production():
@@ -245,3 +246,35 @@ def test_prf_small_sample_unbiased():
         r = BitString.from_bytes(pair[0].to_bytes(2, "little"), 11)
         ones += prf_bit(key, oracle, r, pair[1], p)
     assert abs(ones / trials - 0.5) <= 4 * (0.25 / trials) ** 0.5
+
+
+@pytest.mark.parametrize("n_bits, rejecting", [(1001, True), (1 << 12, False)],
+                         ids=["scripted-rejections-1001", "shake-4096"])
+def test_round_function_matches_prf_bit_on_both_key_kinds(
+        tmp_path, n_bits, rejecting):
+    p = CipherParams(n_bits=n_bits, msg_bits=9, num_probes=8, rounds=17)
+    rng = random.Random(n_bits)
+    inputs = [(rng.randrange(1, 18), rng.getrandbits(8)) for _ in range(64)]
+    if rejecting:
+        # N = 1001 rejects the all-ones word: every stream leads with two
+        oracle = ScriptedOracle(scripts={
+            q: b"\xff" * 16 + hashlib.shake_256(q).digest(8 * 8 + 1)
+            for q in (encode_query(PROBE_TAG, r, 9, x) for r, x in inputs)})
+    else:
+        oracle = Shake256Oracle()
+    held = BigKey.generate(n_bits, seed_randomness((n_bits + 7) // 8, n_bits))
+    path = tmp_path / "round.key"
+    held.save(path)
+    with BigKey.load(path) as mapped:
+        for key in (held, mapped):
+            bit = _round_function(p, key)
+            ones = 0
+            for r, x in inputs:
+                rest = BitString.from_int(x, 8)
+                f, got = bit(oracle.stream_bytes,
+                             encode_query(PROBE_TAG, r, 9, x))
+                assert f == prf_bit(key, oracle, rest, r, p)
+                draw = derive_probes(oracle, rest, r, p)
+                assert tuple(w % n_bits + 1 for w in got) == draw.probes
+                ones += f
+            assert 0 < ones < len(inputs)

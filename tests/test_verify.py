@@ -458,6 +458,22 @@ def test_bias_conditioned_estimate_is_pinned():
     assert tuple(est) == (0.0044999999999999485, 0.06919480374274345)
 
 
+@pytest.mark.parametrize("n_bits, leak_bits", [(12, 3), (4099, None)],
+                         ids=["conditioned-12", "unconditioned-4099"])
+def test_bias_estimate_same_on_file_and_memory_keys(tmp_path, n_bits,
+                                                     leak_bits):
+    path = tmp_path / "bias.key"
+    BigKey.generate(n_bits, seed_randomness((n_bits + 7) // 8, 41)).save(path)
+    lt = (None if leak_bits is None else
+          LeakageTable.random(n_bits, leak_bits, np.random.default_rng(42)))
+    params = CipherParams(n_bits=n_bits, msg_bits=10, num_probes=8, rounds=19)
+    with BigKey.load(path) as mapped, \
+            BigKey.load(path, in_memory=True) as held:
+        lazy, eager = (bias_estimate(key, Shake256Oracle(), lt, 10**4, params,
+                                     seed=43) for key in (mapped, held))
+        assert lazy == eager
+
+
 def test_suite_registry():
     assert set(SUITES) == {
         "parseval", "fiber-entropy", "decomposition", "collision", "bias",
