@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import List, Optional
@@ -40,10 +41,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _number(kind, low, strict=False):
-    """argparse ``type=``: a ``kind`` at least ``low``, above it if ``strict``."""
+    """argparse ``type=``: a finite ``kind`` at least ``low``, above it if
+    ``strict``."""
 
     def parse(text):
         value = kind(text)
+        if kind is float and not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
         if not (value > low if strict else value >= low):
             rule = "above" if strict else "at least"
             raise argparse.ArgumentTypeError(f"must be {rule} {low}, got {text}")
@@ -91,9 +95,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="print advantage bounds")
     _add_bound_args(p)
-    p.add_argument("--queries", type=float, required=True, metavar="Q",
-                   help="number of known-plaintext queries")
-    p.add_argument("--oracle-calls", type=float, default=0.0, metavar="P",
+    p.add_argument("--queries", type=_number(float, 0), required=True,
+                   metavar="Q", help="number of known-plaintext queries")
+    p.add_argument("--oracle-calls", type=_number(float, 0), default=0.0,
+                   metavar="P",
                    help="direct oracle calls by the adversary (default 0)")
     p.add_argument("--closed-form", action="store_true",
                    help="use the algebraic inverse-entropy upper bound "
@@ -104,7 +109,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-from", type=_number(float, 0, strict=True),
                    required=True, metavar="A",
                    help="first query count (must be positive)")
-    p.add_argument("--q-to", type=float, required=True, metavar="B",
+    p.add_argument("--q-to", type=_number(float, 0), required=True,
+                   metavar="B",
                    help="last query count")
     p.add_argument("--points", type=_number(int, 1), required=True,
                    metavar="P",
@@ -130,17 +136,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_bound_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, required=True, metavar="N",
+    p.add_argument("--n", type=_number(int, 1), required=True, metavar="N",
                    help="key size in bits")
-    p.add_argument("--leak", type=int, required=True, metavar="L",
-                   help="leakage budget in bits")
-    p.add_argument("--bits", type=int, required=True, metavar="M",
-                   help="message width in bits")
-    p.add_argument("--probes", type=int, required=True, metavar="K",
-                   help="key probes per round-function call")
-    p.add_argument("--passes", type=int, required=True, metavar="S",
-                   help="pass count")
-    p.add_argument("--rounds", type=int, default=None, metavar="T",
+    p.add_argument("--leak", type=_number(int, 0), required=True,
+                   metavar="L", help="leakage budget in bits")
+    p.add_argument("--bits", type=_number(int, 1), required=True,
+                   metavar="M", help="message width in bits")
+    p.add_argument("--probes", type=_number(int, 0), required=True,
+                   metavar="K", help="key probes per round-function call")
+    p.add_argument("--passes", type=_number(int, 1), required=True,
+                   metavar="S", help="pass count")
+    p.add_argument("--rounds", type=_number(int, 0), default=None,
+                   metavar="T",
                    help="explicit round count (overrides the derived "
                    "T = S * (2M - 1), with a warning)")
 
@@ -157,19 +164,13 @@ def _explicit_rounds(args) -> Optional[int]:
 
 
 def _bound_inputs(args, queries, oracle_calls=0.0) -> bounds.BoundInputs:
+    fields = dict(n_bits=args.n, leak_bits=args.leak, msg_bits=args.bits,
+                  num_probes=args.probes, passes=args.passes, queries=queries,
+                  oracle_calls=oracle_calls)
     rounds = _explicit_rounds(args)
     if rounds is None:
-        rounds = args.passes * (2 * args.bits - 1)
-    return bounds.BoundInputs(
-        n_bits=args.n,
-        leak_bits=args.leak,
-        msg_bits=args.bits,
-        num_probes=args.probes,
-        passes=args.passes,
-        rounds=rounds,
-        queries=queries,
-        oracle_calls=oracle_calls,
-    )
+        return bounds.BoundInputs.from_passes(**fields)
+    return bounds.BoundInputs(rounds=rounds, **fields)
 
 
 def _cipher_params(args, n_bits: int) -> CipherParams:
@@ -216,9 +217,8 @@ def _cmd_bounds(args) -> int:
     value = bounds.theorem1_bound(b, variant=variant)
     naive = bounds.naive_adv_lower(b)
     with mpmath.workprec(bounds.PRECISION_BITS):
-        simple = mpmath.mpf(naive.simple.numerator) / naive.simple.denominator
-        hyper = (mpmath.mpf(naive.hypergeometric.numerator)
-                 / naive.hypergeometric.denominator)
+        simple = bounds._to_mpf(naive.simple)
+        hyper = bounds._to_mpf(naive.hypergeometric)
     if hyper > value:
         # only the paper's theorem can say whether the bound should charge the
         # floor(leak/bits) * T calls the naive leakage spends, or lacks a term

@@ -10,7 +10,8 @@ The checks, stated over explicit tables:
 
 * ``parseval_check``: over a distribution P on {0,1}^n, the mean over all
   2^n index subsets S of E(S)^2, where E(S) is the expected parity
-  (-1)^(xor of the S-bits), equals sum_y P(y)^2.
+  (-1)^(xor of the S-bits), equals sum_y P(y)^2.  Every E(S) comes from
+  one transform factored over the high and low halves of S and y.
 * ``leakage_entropy_check``: for a map from {0,1}^n0 onto l0-bit labels,
   the mean log-size of the fiber containing a uniform point is at least
   n0 - l0, and the probability the fiber log-size falls below
@@ -54,7 +55,6 @@ _MAX_PARSEVAL_BITS = 16
 _MAX_FIBER_BITS = 14
 _MAX_SUBSET_PROBES = 20
 _ENUM_OP_CAP = 1 << 31
-_DENSE_BITS = 10
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,7 @@ class LeakageTable:
         return np.flatnonzero(self.table == leak_value)
 
     def fibers(self) -> Dict[int, np.ndarray]:
-        return {int(v): self.fiber(int(v)) for v in np.unique(self.table)}
+        return {v: self.fiber(v) for v in sorted(set(self.table.tolist()))}
 
 
 @lru_cache(maxsize=None)
@@ -149,35 +149,28 @@ def _character_matrix(n: int) -> np.ndarray:
     return 1.0 - 2.0 * parity
 
 
+def _parity_expectations(d: DistributionTable) -> np.ndarray:
+    """E(S) for every subset S, indexed by S: (-1)^|S & y| factors over the
+    high a = n // 2 and low n - a bits of S and y, so E = H_a P H_(n-a)
+    with P the masses as a 2^a x 2^(n-a) table."""
+    a = d.n // 2
+    table = d.mass.reshape(1 << a, -1)
+    return (_character_matrix(a) @ table @ _character_matrix(d.n - a)).reshape(-1)
+
+
 def parseval_check(d: DistributionTable) -> Tuple[float, float]:
     """Both sides of the power-sum identity, by exhaustive enumeration.
 
-    lhs is the mean of E(S)^2 over all 2^n subsets S (the empty subset
-    contributes E = 1); rhs is the collision mass sum_y P(y)^2.
+    lhs is the mean of E(S)^2 over all 2^n subsets S (E = 1 for S empty),
+    each from one factored transform; rhs is the collision mass
+    sum_y P(y)^2.
     """
-    n = d.n
-    if n > _MAX_PARSEVAL_BITS:
+    if d.n > _MAX_PARSEVAL_BITS:
         raise ValueError(
-            f"n = {n} too large to enumerate all subsets (max {_MAX_PARSEVAL_BITS})"
+            f"n = {d.n} too large to enumerate all subsets (max {_MAX_PARSEVAL_BITS})"
         )
-    size = 1 << n
-    if n <= _DENSE_BITS:
-        e = _character_matrix(n) @ d.mass
-        sum_sq = float((e * e).sum())
-    else:
-        # chunk the subset rows so the sign matrix never exceeds ~32 MB
-        ys = np.arange(size, dtype=np.uint64)
-        chunk = max(1, (1 << 22) // size)
-        sum_sq = 0.0
-        for start in range(0, size, chunk):
-            subs = np.arange(start, min(start + chunk, size), dtype=np.uint64)
-            parity = (np.bitwise_count(subs[:, None] & ys[None, :]) & 1)
-            signs = 1.0 - 2.0 * parity.astype(np.float64)
-            e = signs @ d.mass
-            sum_sq += float((e * e).sum())
-    lhs = sum_sq / size
-    rhs = float((d.mass**2).sum())
-    return lhs, rhs
+    e = _parity_expectations(d)
+    return float((e * e).sum()) / e.size, float((d.mass**2).sum())
 
 
 class LeakageEntropyResult(NamedTuple):
@@ -237,6 +230,25 @@ class MainLemmaResult:
     alpha: float
 
 
+def _fiber_collision_mass(fiber: np.ndarray, n0: int):
+    """``mass(positions)``: sum of squared pattern probabilities of the
+    probed bits (0-based positions) for a uniform element of ``fiber``.
+
+    The index encodes each position once, at its last probe: it stays
+    below 2^n0 and sorts patterns as the full k-bit index would.
+    """
+    bits = (fiber[None, :] >> np.arange(n0)[:, None]) & 1
+
+    def mass(positions: Sequence[int]) -> float:
+        idx = np.zeros(fiber.size, dtype=np.int64)
+        for pos in dict.fromkeys(reversed(positions)):  # latest probe first
+            idx = (idx << 1) | bits[pos]
+        counts = np.bincount(idx)
+        return float(np.square(counts[counts.nonzero()] / fiber.size).sum())
+
+    return mass
+
+
 def main_lemma_check(lt: LeakageTable, leak_value: int, k: int) -> MainLemmaResult:
     """Exact expected collision mass of k probed bits on one fiber.
 
@@ -260,22 +272,17 @@ def main_lemma_check(lt: LeakageTable, leak_value: int, k: int) -> MainLemmaResu
     fiber = lt.fiber(leak_value)
     if fiber.size == 0:
         raise ValueError(f"no domain point maps to leak value {leak_value}")
-    size = int(fiber.size)
-    alpha = n0 - math.log2(size)
+    alpha = n0 - math.log2(fiber.size)
     z = 1.0 - (alpha + k) / n0
     bound_valid = z >= -1e-15
     if bound_valid:
         bound = float(entropy_h_inv(max(z, 0.0)) ** k)
     else:
         bound = math.nan
-    bits = ((fiber[None, :] >> np.arange(n0)[:, None]) & 1).astype(np.int64)
+    mass = _fiber_collision_mass(fiber, n0)
     total = 0.0
     for tup in itertools.product(range(n0), repeat=k):
-        idx = np.zeros(size, dtype=np.int64)
-        for j, pos in enumerate(tup):
-            idx |= bits[pos] << j
-        counts = np.bincount(idx, minlength=1 << k)
-        total += float(((counts / size) ** 2).sum())
+        total += mass(tup)
     expected_g = total / n0**k
     return MainLemmaResult(expected_g, bound, bound_valid, alpha)
 
@@ -343,9 +350,10 @@ def bias_estimate(
         if params.num_probes > 63:
             raise ValueError("conditioning supports at most 63 probes")
         x0 = sum(key.get_bit(i) << (i - 1) for i in range(1, key.n_bits + 1))
-        fiber = lt.fiber(int(lt.table[x0]))
-        bits = ((fiber[None, :] >> np.arange(lt.n0)[:, None]) & 1).astype(np.int64)
-        fiber_size = int(fiber.size)
+        mass = _fiber_collision_mass(lt.fiber(int(lt.table[x0])), lt.n0)
+    else:
+        def mass(positions):  # uniform key: 2^-(distinct positions)
+            return 2.0 ** -len(set(positions))
     max_round = 1 << 16
     if (1 << (m - 1)) * (max_round - 1) < 2 * trials:
         raise ValueError("message width too small for this many distinct queries")
@@ -366,16 +374,7 @@ def bias_estimate(
                              _reverse_bits(r_value, m - 1))
         f, words = bit(stream, query)
         ones += f
-        if lt is None:
-            d = len({w % n for w in words})
-            bound_acc += 0.5 * 2.0 ** (-d / 2.0)
-        else:
-            idx = np.zeros(fiber_size, dtype=np.int64)
-            for j, w in enumerate(words):
-                idx |= bits[w % n] << j
-            _, counts = np.unique(idx, return_counts=True)
-            g = float(((counts / fiber_size) ** 2).sum())
-            bound_acc += 0.5 * math.sqrt(g)
+        bound_acc += 0.5 * math.sqrt(mass([w % n for w in words]))
     return BiasEstimate(abs(ones / trials - 0.5), bound_acc / trials)
 
 

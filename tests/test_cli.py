@@ -133,6 +133,18 @@ def test_usage_errors_exit_one(key_path, tmp_path, monkeypatch):
         ["curve", "--n", "1048576", "--leak", "1024", "--bits", "16",
          "--probes", "16", "--passes", "2", "--q-from", "0", "--q-to", "8",
          "--points", "3"],
+        ["curve", "--n", "1048576", "--leak", "1024", "--bits", "16",
+         "--probes", "16", "--passes", "2", "--q-from", "1", "--q-to", "nan",
+         "--points", "3"],
+        ["curve", "--n", "1048576", "--leak", "1024", "--bits", "16",
+         "--probes", "16", "--passes", "2", "--q-from", "1", "--q-to", "inf",
+         "--points", "3"],
+        ["bounds", "--n", "1048576", "--leak", "1024", "--bits", "16",
+         "--probes", "16", "--passes", "2", "--queries", "nan"],
+        ["bounds", "--n", "1048576", "--leak", "1024", "--bits", "0",
+         "--probes", "16", "--passes", "2", "--queries", "1024"],
+        ["bounds", "--n", "1048576", "--leak", "1024", "--bits", "16",
+         "--probes", "16", "--passes", "0", "--queries", "1024"],
     ]
     for argv in cases:
         assert main(argv) == 1, argv

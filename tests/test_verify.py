@@ -20,6 +20,8 @@ from bigthorp.verify import (
     CheckResult,
     DistributionTable,
     LeakageTable,
+    _fiber_collision_mass,
+    _parity_expectations,
     bias_estimate,
     decomposition_check,
     distinct_probe_collision_mass,
@@ -128,11 +130,26 @@ def test_parseval_matches_hand_oracle_n3():
         assert abs(rhs - orhs) <= 1e-12
 
 
-def test_parseval_chunked_path():
-    # n = 11 exceeds the dense-cache width, exercising the chunked loop
-    d = DistributionTable.random(11, np.random.default_rng(23))
+@pytest.mark.parametrize("n", [11, 16])
+def test_parseval_wide_widths(n):
+    # past the suite's widths, up to the enumeration cap of 16 bits
+    d = DistributionTable.random(n, np.random.default_rng(23))
     lhs, rhs = parseval_check(d)
     assert abs(lhs - rhs) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_parity_expectations_match_definition(n):
+    # lhs == rhs holds for any +-1 orthogonal transform, so compare each
+    # E(S) itself with the literal sum over outcomes (odd and even splits)
+    d = DistributionTable.random(n, np.random.default_rng(29 + n))
+    e = _parity_expectations(d)
+    assert e.shape == (1 << n,)
+    mass = [float(p) for p in d.mass]
+    for s in range(1 << n):
+        expect = sum(-p if (s & y).bit_count() % 2 else p
+                     for y, p in enumerate(mass))
+        assert abs(e[s] - expect) <= 1e-12, s
 
 
 def test_parseval_rejects_oversized_n():
@@ -306,6 +323,22 @@ def test_main_lemma_input_errors():
         main_lemma_check(LeakageTable.constant(14, 1), 0, 8)
 
 
+def test_fiber_collision_mass_matches_full_index_count():
+    # same floats, bit for bit, as counting the full k-bit pattern index
+    rng = np.random.default_rng(47)
+    for _ in range(300):
+        n0 = int(rng.integers(4, 11))
+        lt = LeakageTable.random(n0, int(rng.integers(0, 4)), rng)
+        fiber = lt.fiber(int(lt.table[0]))
+        positions = [int(p) for p in rng.integers(0, n0, int(rng.integers(1, 12)))]
+        idx = np.zeros(fiber.size, dtype=np.int64)
+        for j, pos in enumerate(positions):
+            idx |= ((fiber >> pos) & 1) << j
+        _, counts = np.unique(idx, return_counts=True)
+        expect = float(((counts / fiber.size) ** 2).sum())
+        assert _fiber_collision_mass(fiber, n0)(positions) == expect
+
+
 def test_distinct_probe_mass_matches_brute_force():
     for n0, k in ((2, 2), (3, 3), (5, 3), (8, 1)):
         total = 0.0
@@ -408,11 +441,26 @@ def test_bias_rejects_tiny_query_space():
 # suites and reporting
 
 
+def _assert_rows(results, expected):
+    # name, verdict and rhs exact; lhs within 1e-12 of the recorded value
+    assert [(r.name, r.passed, r.rhs) for r in results] == [
+        (name, passed, rhs) for name, passed, rhs, _ in expected
+    ]
+    for r, (*_, lhs) in zip(results, expected):
+        assert abs(r.lhs - lhs) <= 1e-12, r.name
+
+
 def test_parseval_suite_passes():
-    results = run_parseval_suite(max_n=6, per_n=50)
-    assert results
-    assert all(r.passed for r in results)
-    assert all(r.name.startswith("parseval/") for r in results)
+    _assert_rows(run_parseval_suite(max_n=6, per_n=50), [
+        ("parseval/point-mass", True, 1e-12, 0.0),
+        ("parseval/uniform", True, 1e-12, 0.0),
+        ("parseval/random-n1", True, 1e-12, 2.220446049250313e-16),
+        ("parseval/random-n2", True, 1e-12, 1.1102230246251565e-16),
+        ("parseval/random-n3", True, 1e-12, 5.551115123125783e-17),
+        ("parseval/random-n4", True, 1e-12, 2.7755575615628914e-17),
+        ("parseval/random-n5", True, 1e-12, 2.0816681711721685e-17),
+        ("parseval/random-n6", True, 1e-12, 1.3877787807814457e-17),
+    ])
 
 
 def test_fiber_entropy_suite_passes():
@@ -426,10 +474,15 @@ def test_decomposition_suite_passes():
 
 
 def test_collision_suite_passes():
-    results = run_collision_suite(num_tables=4)
-    assert all(r.passed for r in results)
-    names = [r.name for r in results]
-    assert "collision/singleton-flagged" in names
+    _assert_rows(run_collision_suite(num_tables=4), [
+        ("collision/full-space-k1", True, 1e-12, 0.0),
+        ("collision/full-space-k2", True, 1e-12, 0.0),
+        ("collision/full-space-k3", True, 1e-12, 0.0),
+        ("collision/singleton-flagged", True, 1.0, 1.0),
+        ("collision/random-k1", True, 1e-12, -0.2808374795108184),
+        ("collision/random-k2", True, 1e-12, -0.4249527855930015),
+        ("collision/random-k3", True, 1e-12, -0.526545664171995),
+    ])
 
 
 def test_bias_suite_passes():
