@@ -40,9 +40,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _number(kind, low, strict=False):
+def _number(kind, low, strict=False, high=None):
     """argparse ``type=``: a finite ``kind`` at least ``low``, above it if
-    ``strict``."""
+    ``strict``, and at most ``high`` if given."""
 
     def parse(text):
         value = kind(text)
@@ -51,6 +51,8 @@ def _number(kind, low, strict=False):
         if not (value > low if strict else value >= low):
             rule = "above" if strict else "at least"
             raise argparse.ArgumentTypeError(f"must be {rule} {low}, got {text}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {text}")
         return value
 
     parse.__name__ = kind.__name__  # argparse's "invalid <name> value" message
@@ -71,7 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    metavar="N", help="key size in bits (at least 8)")
     p.add_argument("--out", required=True, metavar="PATH",
                    help="destination key file")
-    p.add_argument("--seed", type=int, default=None, metavar="INT",
+    p.add_argument("--seed", type=_number(int, 0, high=2**64 - 1),
+                   default=None, metavar="INT",
                    help="derive the key deterministically from this seed "
                    "instead of the system RNG")
 
@@ -125,8 +128,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=sorted(verify.SUITES),
                        help="run one suite (repeatable); names: "
                        + ", ".join(sorted(verify.SUITES)))
-    p.add_argument("--seed", type=int, default=None, metavar="INT",
-                   help="override the per-suite default seeds")
+    p.add_argument("--seed", type=_number(int, 0), default=None,
+                   metavar="INT", help="override the per-suite default seeds")
     p.add_argument("--trials", type=int, default=10**4, metavar="INT",
                    help="Monte Carlo trials for the bias suite "
                    "(default 10^4)")
@@ -263,6 +266,10 @@ def _cmd_curve(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = sorted(verify.SUITES) if args.all else list(dict.fromkeys(args.suite))
+    if "bias" in names and args.trials < verify._MIN_TRIALS:
+        print(f"error: --trials must be at least {verify._MIN_TRIALS} for "
+              "the bias suite", file=sys.stderr)
+        return 1
     results = []
     for name in names:
         kwargs = {"trials": args.trials} if name == "bias" else {}

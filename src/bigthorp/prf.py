@@ -20,9 +20,14 @@ for any N >= 1 the accept probability per word exceeds 1/2 and such a run
 indicates a broken oracle backend rather than bad luck.  Steps 1 to 3,
 with the request sizes, the extension and the cap, belong to one private
 decoder, ``_probe_decoder``; step 4 on the key's buffer belongs to one
-private round function over it, ``_round_function``, which ``encrypt``,
-``decrypt`` and ``verify.bias_estimate`` call for every round bit.  The
-staged ``derive_probes``/``prf_bit`` read the key through ``BigKey.subkey``.
+private round function over it, ``_round_function``, which ``encrypt`` and
+``decrypt`` call for every round bit.  ``verify.bias_estimate`` evaluates
+its queries in batches through ``_round_bits``, which decodes every row
+whose first k words are accepted at once with numpy and sends each other
+row back through ``_probe_decoder``; it returns the same bits and words
+as ``_round_function``.  numpy is imported only when a batch kernel is
+built.  The staged ``derive_probes``/``prf_bit`` read the key through
+``BigKey.subkey``.
 """
 
 from __future__ import annotations
@@ -175,6 +180,42 @@ def _round_function(params: CipherParams, key: BigKey):
         return acc & 1, words
 
     return bit
+
+
+def _round_bits(params: CipherParams, key: BigKey):
+    """``bits(stream, queries) -> (bits, words)``: ``_round_function`` over
+    a list of serialized queries, as numpy arrays of shape (B,) and (B, k).
+
+    Rows whose first k words are all accepted are decoded in one pass; any
+    other row goes back through ``_probe_decoder``, which alone rejects,
+    extends and caps.  The key's buffer is viewed only inside each call, so
+    a mapped key can be closed after it.
+    """
+    import numpy as np  # numpy stays out of ``import bigthorp``
+
+    decode = _probe_decoder(params)
+    k, n = params.num_probes, params.n_bits
+    threshold = n * (_B // n)
+    mask_bytes = (k + 7) // 8
+    need = _WORD * k + mask_bytes
+
+    def bits(stream, queries):
+        data = b"".join(stream(q, need) for q in queries)
+        rows = np.frombuffer(data, np.uint8).reshape(len(queries), need)
+        words = rows[:, : _WORD * k].view(">u8").astype(np.uint64)
+        masks = rows[:, _WORD * k :].copy()
+        if threshold < _B:
+            for i in np.flatnonzero((words >= threshold).any(axis=1)):
+                row_words, mask = decode(stream, queries[i])
+                words[i] = row_words
+                masks[i] = list(mask.to_bytes(mask_bytes, "little"))
+        selected = np.unpackbits(masks, axis=1, count=k, bitorder="little")
+        p = words % n
+        key_bytes = np.frombuffer(key._buf, np.uint8, offset=key._offset)
+        probed = key_bytes[p >> 3] >> (p & 7).astype(np.uint8) & selected
+        return np.bitwise_xor.reduce(probed, axis=1), words
+
+    return bits
 
 
 def derive_probes(

@@ -26,8 +26,15 @@ The checks, stated over explicit tables:
 * ``bias_estimate``: Monte Carlo bias of the round-function bit over
   distinct (round input, round) queries, next to the exactly computed
   half-root-collision-mass bound averaged over the sampled draws.  The bit
-  is the cipher's own: the estimate calls the round function that
-  ``encrypt``/``decrypt`` call, ``prf._round_function``.
+  is the cipher's own: the estimate evaluates its queries in fixed-size
+  batches through ``prf._round_bits``, which gives the same bits and probe
+  words as the round function that ``encrypt``/``decrypt`` call.
+
+``main_lemma_check`` and the conditioned ``bias_estimate`` share one
+batched collision-mass helper, ``_fiber_collision_mass``: it takes a
+(B, k) array of probe positions and returns B masses, each bit-identical
+to the mass of that row alone, and both callers add the masses in tuple or
+trial order, as a per-row loop would.
 
 Suites bundle these with fixed seeds and aggregate the worst case per
 group into ``CheckResult`` rows (name, lhs, rhs, pass) for the CLI.
@@ -35,7 +42,6 @@ group into ``CheckResult`` rows (name, lhs, rhs, pass) for the CLI.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -48,13 +54,16 @@ from .bigkey import BigKey, seed_randomness
 from .bitstring import _reverse_bits
 from .bounds import entropy_h, entropy_h_inv
 from .oracle import PROBE_TAG, Oracle, ScriptedOracle, Shake256Oracle, encode_query
-from .prf import CipherParams, _round_function
+from .prf import CipherParams, _round_bits
 
 _MAX_TABLE_BITS = 20
 _MAX_PARSEVAL_BITS = 16
 _MAX_FIBER_BITS = 14
 _MAX_SUBSET_PROBES = 20
 _ENUM_OP_CAP = 1 << 31
+_MIN_TRIALS = 10**4
+_BATCH = 1024          # queries or probe tuples evaluated together
+_MASS_CELLS = 1 << 18  # pattern-index cells per collision-mass block
 
 
 @dataclass(frozen=True)
@@ -231,20 +240,42 @@ class MainLemmaResult:
 
 
 def _fiber_collision_mass(fiber: np.ndarray, n0: int):
-    """``mass(positions)``: sum of squared pattern probabilities of the
-    probed bits (0-based positions) for a uniform element of ``fiber``.
+    """``mass(positions) -> (B,) float64``: for each row of the (B, k)
+    0-based probe positions, the sum of squared pattern probabilities of
+    the probed bits for a uniform element of ``fiber``.
 
-    The index encodes each position once, at its last probe: it stays
-    below 2^n0 and sorts patterns as the full k-bit index would.
+    Probe j of a row is bit j of that row's pattern index, so k <= 63
+    keeps the index in an int64.  Each row's nonzero counts are squared in
+    index order and summed by numpy's row reduction, so a row gives the
+    same float, bit for bit, as the sum over that row alone.
     """
     bits = (fiber[None, :] >> np.arange(n0)[:, None]) & 1
+    rows_at_once = max(1, _MASS_CELLS // fiber.size)
 
-    def mass(positions: Sequence[int]) -> float:
-        idx = np.zeros(fiber.size, dtype=np.int64)
-        for pos in dict.fromkeys(reversed(positions)):  # latest probe first
-            idx = (idx << 1) | bits[pos]
-        counts = np.bincount(idx)
-        return float(np.square(counts[counts.nonzero()] / fiber.size).sum())
+    def block(positions: np.ndarray) -> np.ndarray:
+        idx = np.zeros((len(positions), fiber.size), dtype=np.int64)
+        for j in range(positions.shape[1]):
+            idx |= bits[positions[:, j]] << j
+        idx.sort(axis=1)
+        starts = np.ones(idx.shape, dtype=bool)
+        starts[:, 1:] = idx[:, 1:] != idx[:, :-1]
+        first = np.flatnonzero(starts)  # each row's patterns, in index order
+        counts = np.diff(first, append=idx.size)
+        patterns = np.bincount(first // fiber.size, minlength=len(positions))
+        row_first = np.cumsum(patterns) - patterns
+        out = np.empty(len(positions))
+        for c in np.unique(patterns):
+            rows = np.flatnonzero(patterns == c)
+            grouped = counts[row_first[rows, None] + np.arange(c)]
+            out[rows] = np.square(grouped / fiber.size).sum(axis=1)
+        return out
+
+    def mass(positions) -> np.ndarray:
+        positions = np.asarray(positions, dtype=np.intp)
+        return np.concatenate([
+            block(positions[i : i + rows_at_once])
+            for i in range(0, len(positions), rows_at_once)
+        ])
 
     return mass
 
@@ -280,9 +311,13 @@ def main_lemma_check(lt: LeakageTable, leak_value: int, k: int) -> MainLemmaResu
     else:
         bound = math.nan
     mass = _fiber_collision_mass(fiber, n0)
+    # row t holds the t-th tuple of itertools.product(range(n0), repeat=k)
+    digits = n0 ** np.arange(k - 1, -1, -1)
     total = 0.0
-    for tup in itertools.product(range(n0), repeat=k):
-        total += mass(tup)
+    for start in range(0, n0**k, _BATCH):
+        t = np.arange(start, min(start + _BATCH, n0**k))
+        for g in mass(t[:, None] // digits % n0).tolist():
+            total += g  # tuple order, as a per-tuple loop adds them
     expected_g = total / n0**k
     return MainLemmaResult(expected_g, bound, bound_valid, alpha)
 
@@ -333,7 +368,7 @@ def bias_estimate(
     (which must then be small enough to enumerate); without it, the bound
     uses the exact unconditioned value 2^-(distinct probe count).
     """
-    if trials < 10**4:
+    if trials < _MIN_TRIALS:
         raise ValueError("trials must be at least 10^4 for a meaningful estimate")
     if key.n_bits != params.n_bits:
         raise ValueError(
@@ -353,28 +388,33 @@ def bias_estimate(
         mass = _fiber_collision_mass(lt.fiber(int(lt.table[x0])), lt.n0)
     else:
         def mass(positions):  # uniform key: 2^-(distinct positions)
-            return 2.0 ** -len(set(positions))
+            ranked = np.sort(positions, axis=1)
+            distinct = 1 + (ranked[:, 1:] != ranked[:, :-1]).sum(axis=1)
+            return np.ldexp(1.0, -distinct)
     max_round = 1 << 16
     if (1 << (m - 1)) * (max_round - 1) < 2 * trials:
         raise ValueError("message width too small for this many distinct queries")
-    bit = _round_function(params, key)
+    bits = _round_bits(params, key)
     stream, n = oracle.stream_bytes, key.n_bits
     rng = random.Random(seed)
     seen = set()
     ones = 0
     bound_acc = 0.0
     while len(seen) < trials:
-        r_value = rng.getrandbits(m - 1)
-        round_index = rng.randrange(1, max_round)
-        if (r_value, round_index) in seen:
-            continue
-        seen.add((r_value, round_index))
-        # r_value fills the round input from bit 1 up: bit 1 is its low bit
-        query = encode_query(PROBE_TAG, round_index, m,
-                             _reverse_bits(r_value, m - 1))
-        f, words = bit(stream, query)
-        ones += f
-        bound_acc += 0.5 * math.sqrt(mass([w % n for w in words]))
+        queries = []
+        while len(queries) < _BATCH and len(seen) < trials:
+            r_value = rng.getrandbits(m - 1)
+            round_index = rng.randrange(1, max_round)
+            if (r_value, round_index) in seen:
+                continue
+            seen.add((r_value, round_index))
+            # r_value fills the round input from bit 1 up: bit 1 is its low bit
+            queries.append(encode_query(PROBE_TAG, round_index, m,
+                                        _reverse_bits(r_value, m - 1)))
+        f, words = bits(stream, queries)
+        ones += int(f.sum())
+        for term in (0.5 * np.sqrt(mass(words % n))).tolist():
+            bound_acc += term  # trial order, as a per-query loop adds them
     return BiasEstimate(abs(ones / trials - 0.5), bound_acc / trials)
 
 

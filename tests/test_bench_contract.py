@@ -1,8 +1,9 @@
 """The library surface that the benchmark harness in ``perfbench/`` uses.
 
-The harness is not run by the test suite, so these tests drive its traced
-replay, its reference cipher and its suite calls on small inputs.  A change
-to the library that would break a benchmark run fails here first.
+``test_bench_smoke.py`` runs the whole harness once per trace mode; these
+tests drive its traced replay, its reference cipher and its suite calls on
+small inputs, so a change to the library that would break a benchmark run
+fails here with the call that broke.
 """
 
 import hashlib

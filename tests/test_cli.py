@@ -129,7 +129,12 @@ def test_usage_errors_exit_one(key_path, tmp_path, monkeypatch):
         ["encrypt", "--bits", "16", "--probes", "8", "--passes", "1",
          "--in", "00"],  # no --key and no env fallback
         ["keygen", "--bits", "4", "--out", dummy],
+        ["keygen", "--bits", "64", "--out", dummy, "--seed", "-1"],
+        ["keygen", "--bits", "64", "--out", dummy,
+         "--seed", "18446744073709551616"],  # 2^64: the round field's limit
         ["verify", "--suite", "nonsense"],
+        ["verify", "--suite", "collision", "--seed", "-1"],
+        ["verify", "--suite", "bias", "--trials", "7"],
         ["curve", "--n", "1048576", "--leak", "1024", "--bits", "16",
          "--probes", "16", "--passes", "2", "--q-from", "0", "--q-to", "8",
          "--points", "3"],

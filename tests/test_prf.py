@@ -2,6 +2,8 @@
 
 import hashlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -20,7 +22,7 @@ from bigthorp import (
     seed_randomness,
 )
 from bigthorp.oracle import encode_query
-from bigthorp.prf import _round_function
+from bigthorp.prf import _round_bits, _round_function
 
 
 def params_for(n_bits, msg_bits=5, num_probes=3, rounds=9):
@@ -278,3 +280,50 @@ def test_round_function_matches_prf_bit_on_both_key_kinds(
                 assert tuple(w % n_bits + 1 for w in got) == draw.probes
                 ones += f
             assert 0 < ones < len(inputs)
+
+
+# N = 1001 rejects every word at or above 1001 * floor(2^64 / 1001), so a
+# stream that leads with two all-ones words is decoded only after extension
+_REJECTING_HEAD = b"\xff" * 16
+
+
+def _batch_oracle(kind, queries, k):
+    if kind == "contract-rejecting":
+        return ScriptedOracle(default_script=_REJECTING_HEAD
+                              + hashlib.shake_256(b"contract").digest(65))
+    if kind == "mixed-rejecting":
+        # every third query rejects; the rest get seeded streams
+        return ScriptedOracle(scripts={
+            q: _REJECTING_HEAD + hashlib.shake_256(q).digest(8 * k + 8)
+            for q in queries[::3]}, seed=5)
+    return Shake256Oracle()
+
+
+@pytest.mark.parametrize("k", [1, 5, 8, 13, 64])
+@pytest.mark.parametrize("n_bits, kind", [
+    (1 << 12, "shake"), (10**6 + 3, "shake"), (1001, "contract-rejecting"),
+    (1001, "mixed-rejecting")])
+def test_round_bits_match_round_function(tmp_path, n_bits, kind, k):
+    p = CipherParams(n_bits=n_bits, msg_bits=16, num_probes=k, rounds=31)
+    rng = random.Random(n_bits + k)
+    queries = [encode_query(PROBE_TAG, rng.randrange(1, 1 << 16), 16,
+                            rng.getrandbits(15)) for _ in range(48)]
+    oracle = _batch_oracle(kind, queries, k)
+    held = BigKey.generate(n_bits, seed_randomness((n_bits + 7) // 8, k))
+    path = tmp_path / "batch.key"
+    held.save(path)
+    with BigKey.load(path) as mapped:
+        for key in (held, mapped):
+            batch, bit = _round_bits(p, key), _round_function(p, key)
+            bits, got = batch(oracle.stream_bytes, queries)
+            assert got.shape == (len(queries), k)
+            for q, f, row in zip(queries, bits.tolist(), got.tolist()):
+                want_bit, want_words = bit(oracle.stream_bytes, q)
+                assert (f, row) == (want_bit, list(want_words))
+        # neither the kernel nor its output keeps a view of the mapping
+        mapped.close()
+
+
+def test_import_leaves_numpy_unloaded():
+    code = "import sys, bigthorp; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)

@@ -6,6 +6,7 @@ coded oracles (pure-python double loops, combinatorial formulas) rather
 than against the implementation's own output.
 """
 
+import itertools
 import math
 from collections import Counter
 
@@ -323,20 +324,41 @@ def test_main_lemma_input_errors():
         main_lemma_check(LeakageTable.constant(14, 1), 0, 8)
 
 
+def _full_index_mass(fiber, positions):
+    # sum of squared pattern probabilities, counting the full k-bit index
+    idx = np.zeros(fiber.size, dtype=np.int64)
+    for j, pos in enumerate(positions):
+        idx |= ((fiber >> pos) & 1) << j
+    _, counts = np.unique(idx, return_counts=True)
+    return float(((counts / fiber.size) ** 2).sum())
+
+
 def test_fiber_collision_mass_matches_full_index_count():
-    # same floats, bit for bit, as counting the full k-bit pattern index
+    # same floats, bit for bit, as counting the full k-bit pattern index,
+    # for every row of a batch whose rows have different pattern counts
     rng = np.random.default_rng(47)
     for _ in range(300):
         n0 = int(rng.integers(4, 11))
         lt = LeakageTable.random(n0, int(rng.integers(0, 4)), rng)
         fiber = lt.fiber(int(lt.table[0]))
         positions = [int(p) for p in rng.integers(0, n0, int(rng.integers(1, 12)))]
-        idx = np.zeros(fiber.size, dtype=np.int64)
-        for j, pos in enumerate(positions):
-            idx |= ((fiber >> pos) & 1) << j
-        _, counts = np.unique(idx, return_counts=True)
-        expect = float(((counts / fiber.size) ** 2).sum())
-        assert _fiber_collision_mass(fiber, n0)(positions) == expect
+        batch = [positions, positions[::-1], [positions[0]] * len(positions),
+                 [(p + 1) % n0 for p in positions]]
+        got = _fiber_collision_mass(fiber, n0)(batch)
+        assert got.tolist() == [_full_index_mass(fiber, row) for row in batch]
+
+
+@pytest.mark.parametrize("n0, l0, k", [(5, 1, 1), (6, 2, 2), (7, 2, 3),
+                                       (8, 0, 3)])
+def test_main_lemma_expected_g_matches_per_tuple_loop(n0, l0, k):
+    # bit for bit: the collision suite pins lhs only within 1e-12
+    lt = LeakageTable.random(n0, l0, np.random.default_rng(n0 + k))
+    for leak_value in lt.fibers():
+        fiber = lt.fiber(leak_value)
+        total = 0.0
+        for tup in itertools.product(range(n0), repeat=k):
+            total += _full_index_mass(fiber, tup)
+        assert main_lemma_check(lt, leak_value, k).expected_g == total / n0**k
 
 
 def test_distinct_probe_mass_matches_brute_force():
