@@ -39,12 +39,18 @@ from typing import IO, Iterable, List, Optional, Union
 import mpmath
 from mpmath import mpf
 
+from .prf import _rounds_for
+
 PRECISION_BITS = 240
 
 Number = Union[int, float, Fraction]
 
 _CSV_HEADER = "log2_q,neg_log2_gamma,valid"
-_NEWTON_STEPS = 32  # before bisection; from the seed Newton needs at most 5
+# Newton steps before bisection: one from the float64 seed, at most five
+# from h_inv_upper; the float64 solve itself stops after _FLOAT_STEPS
+_NEWTON_STEPS = 32
+_FLOAT_STEPS = 40
+_LN4 = math.log(4)
 
 
 def _to_mpf(x) -> mpf:
@@ -74,20 +80,43 @@ def entropy_h(p: Number) -> mpf:
         return _h_nats(pm)[0] / mpmath.ln2
 
 
+def _h_inv_float(z: float) -> Optional[float]:
+    """A float64 Newton solve of h(p) = z from the closed-form bound, plus
+    1e-13 so that it sits above the root; None if it leaves (1/2, 1)."""
+    try:
+        p = 0.5 + math.sqrt(1 - z ** _LN4) / 2
+        for _ in range(_FLOAT_STEPS):
+            h = -p * math.log2(p) - (1 - p) * math.log2(1 - p)
+            step = (h - z) / math.log2((1 - p) / p)
+            p -= step
+            if abs(step) < 1e-15:
+                break
+        p += 1e-13
+    except (ArithmeticError, ValueError):  # p reached 1/2 or 1
+        return None
+    return p if 0.5 < p < 1 else None
+
+
 def entropy_h_inv(z: Number, tol: float = 1e-12) -> mpf:
     """Inverse of h on the branch [1/2, 1], by Newton's method from above.
 
     On [1/2, 1] h is concave and strictly decreasing, so a tangent step
     taken from a point above the root lands between the root and that
-    point.  Seeded at the upper bound ``h_inv_upper(z)``, the iterates fall
-    monotonically onto the root; the vanishing derivative at 1/2 does not
-    break this.  A step costs ln p and ln(1 - p), which also give the
-    derivative ln((1 - p)/p) in nats.  The result is returned once a
+    point, and the iterates fall monotonically onto the root; the
+    vanishing derivative at 1/2 does not break this.  A step costs ln p
+    and ln(1 - p), which also give the derivative ln((1 - p)/p) in nats.
+    The seed is a float64 solve placed 1e-13 above the root, whose
+    evaluation is the first step; one more evaluation checks the bracket
+    below, so a solve usually costs two.  Where the float solve leaves
+    (1/2, 1) (z below about 1e-11, or z within rounding of 1) or lands
+    below the root, the seed is the upper bound ``h_inv_upper(z)``
+    instead, which takes up to five steps.  The result is returned once a
     bracket [lo, hi] with hi - lo <= ``tol`` and h(lo) >= z >= h(hi) has
-    been evaluated, so ``tol`` is an absolute tolerance on it.  Where the
-    seed rounds to 1 or rounding stalls the iteration, bisection on
-    [1/2, 1] finishes the job; it stops at the working precision's
-    resolution (about 1e-72), which is what a smaller ``tol`` gets.
+    been evaluated, so ``tol`` is an absolute tolerance on it and no seed
+    can move it past that.  Where the upper seed rounds to 1 or rounding
+    stalls the iteration, bisection on [1/2, 1] finishes the job; it
+    stops at the working precision's resolution (about 1e-72), which is
+    what a smaller ``tol`` gets.
     """
     _check_unit("z", z)
     if tol <= 0:
@@ -99,11 +128,19 @@ def entropy_h_inv(z: Number, tol: float = 1e-12) -> mpf:
         if zm == 1:
             return mpf(0.5)
         zn, tolm, half = zm * mpmath.ln2, mpf(tol), mpf(0.5)
-        hi = h_inv_upper(zm)
+        seed, first = _h_inv_float(float(zm)), None
+        if seed is not None:
+            hi = mpf(seed)
+            first = _h_nats(hi)
+            if first[0] > zn:  # the seed is below the root
+                seed = first = None
+        if seed is None:
+            hi = h_inv_upper(zm)
         for _ in range(_NEWTON_STEPS):
             new = hi  # the tangent at hi = 1 is vertical
             if hi < 1:
-                h, a, b = _h_nats(hi)
+                h, a, b = first or _h_nats(hi)
+                first = None
                 if h > zn:  # rounding put hi below the root
                     break
                 new = hi - (h - zn) / (b - a)
@@ -132,7 +169,7 @@ def h_inv_upper(z: Number) -> mpf:
         zm = _to_mpf(z)
         if zm == 0:
             return mpf(1)
-        return mpf(0.5) + mpmath.sqrt(1 - zm ** mpmath.log(4)) / 2
+        return mpf(0.5) + mpmath.sqrt(1 - zm ** (2 * mpmath.ln2)) / 2
 
 
 @dataclass(frozen=True)
@@ -182,7 +219,7 @@ class BoundInputs:
             msg_bits=msg_bits,
             num_probes=num_probes,
             passes=passes,
-            rounds=passes * (2 * msg_bits - 1),
+            rounds=_rounds_for(msg_bits, passes),
             queries=queries,
             oracle_calls=oracle_calls,
         )

@@ -30,6 +30,7 @@ from .oracle import Shake256Oracle
 from .prf import CipherParams
 
 _ENV_KEY = "BIGTHORP_KEY"
+_SEEDED_KEY_MAX_BITS = 2**33
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_number(int, 0, high=2**64 - 1),
                    default=None, metavar="INT",
                    help="derive the key deterministically from this seed "
-                   "instead of the system RNG")
+                   "instead of the system RNG (keys of at most 2^33 bits)")
 
     for name in ("encrypt", "decrypt"):
         p = sub.add_parser(name, help=f"{name} one m-bit message")
@@ -128,8 +129,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=sorted(verify.SUITES),
                        help="run one suite (repeatable); names: "
                        + ", ".join(sorted(verify.SUITES)))
-    p.add_argument("--seed", type=_number(int, 0), default=None,
-                   metavar="INT", help="override the per-suite default seeds")
+    p.add_argument("--seed", type=_number(int, 0, high=2**64 - 5),
+                   default=None, metavar="INT",
+                   help="override the per-suite default seeds (at most "
+                   "2^64 - 5: the bias suite derives keys from seed + 4, "
+                   "and a key seed must fit in 8 bytes)")
     p.add_argument("--trials", type=int, default=10**4, metavar="INT",
                    help="Monte Carlo trials for the bias suite "
                    "(default 10^4)")
@@ -188,6 +192,11 @@ def _cipher_params(args, n_bits: int) -> CipherParams:
 def _cmd_keygen(args) -> int:
     needed = (args.bits + 7) // 8
     if args.seed is not None:
+        if args.bits > _SEEDED_KEY_MAX_BITS:
+            # the seeded key is one SHAKE digest, built whole in memory
+            print(f"error: --seed keys are limited to {_SEEDED_KEY_MAX_BITS} "
+                  f"bits (1 GiB), got --bits {args.bits}", file=sys.stderr)
+            return 1
         randomness = bigkey.seed_randomness(needed, args.seed)
     else:
         randomness = os.urandom(needed)

@@ -48,6 +48,11 @@ _EXTEND = 512
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
+def _rounds_for(msg_bits: int, passes: int) -> int:
+    """The round count of ``passes`` passes: T = passes * (2 * msg_bits - 1)."""
+    return passes * (2 * msg_bits - 1)
+
+
 @dataclass(frozen=True)
 class CipherParams:
     """Cipher shape: key size, message width, probes per round, rounds.
@@ -75,7 +80,7 @@ class CipherParams:
         if self.passes is not None:
             if self.passes < 1:
                 raise ValueError("passes must be at least 1 when given")
-            derived = self.passes * (2 * self.msg_bits - 1)
+            derived = _rounds_for(self.msg_bits, self.passes)
             if self.rounds != derived:
                 raise ValueError(
                     f"rounds {self.rounds} inconsistent with passes "
@@ -92,7 +97,7 @@ class CipherParams:
             n_bits=n_bits,
             msg_bits=msg_bits,
             num_probes=num_probes,
-            rounds=passes * (2 * msg_bits - 1),
+            rounds=_rounds_for(msg_bits, passes),
             passes=passes,
         )
 

@@ -8,7 +8,10 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bigthorp import bounds as bounds_module
 from bigthorp import (
     BoundInputs,
     entropy_h,
@@ -148,6 +151,143 @@ def test_h_inv_tol_below_working_precision_terminates():
     ours = entropy_h_inv(0.3, tol=1e-100)
     with mpmath.workprec(500):
         assert abs(ours - _h_inv_500bit(0.3, tol=1e-100)) <= 1e-70
+
+
+# -- the benchmark's curve sweep --------------------------------------------
+
+# the 69 query counts q = 2^(e/2), e = 0..68, of the worked example that the
+# benchmark sweeps, with each z = 1 - (alpha + k)/N exact as a Fraction
+SWEEP_QS = [2.0 ** (e / 2) for e in range(69)]
+SWEEP_ZS = [
+    1 - (b.alpha + b.num_probes) / Fraction(b.n_bits)
+    for b in (dataclasses.replace(EXAMPLE, queries=Fraction(q))
+              for q in SWEEP_QS)
+]
+
+# repr of each -log2 gamma and closed-form theorem1_bound on the sweep,
+# recorded before the inverse entropy got its float64 seed
+SWEEP_NEG_LOG2_GAMMA = [
+    118.04409891452627, 117.54409891207413, 117.0440989086063,
+    116.54409890370204, 116.04409889676636, 115.54409888695783,
+    115.04409887308647, 114.54409885346941, 114.04409882572669,
+    113.54409878649257, 113.04409873100714, 112.54409865253889,
+    112.04409854156805, 111.54409838463155, 111.04409816268985,
+    110.54409784881686, 110.04409740493345, 109.5440967771875,
+    109.04409588942069, 108.54409463392884, 108.04409285839526,
+    107.54409034741167, 107.04408679634476, 106.54408177437807,
+    106.04407467224527, 105.5440646283139, 105.04405042405227,
+    104.5440303361975, 104.04400192769018, 103.54396175201252,
+    103.04390493506166, 102.54382458383391, 102.0437109501873,
+    101.54355024824201, 101.04332298196923, 100.54300158011948,
+    100.04254705165555, 99.54190425611922, 99.04099521551744,
+    98.53970965709613, 98.03789164119286, 97.5353206549442,
+    97.03168488430698, 96.5265434340955, 96.01927293724331,
+    95.50899212524257, 94.9944553071886, 94.47390203111271,
+    93.94484508131752, 93.40377187484417, 92.84572459052005,
+    92.26371119339667, 91.64788205112725, 90.98438440572042,
+    90.25377963134162, 89.428877945764, 88.47181815993214,
+    87.33021033582804, 85.93219527035941, 84.18040675046032,
+    81.9451272384567, 79.05749723541733, 75.30452982047709,
+    70.42880124978038, 64.1366416073324, 56.11873039173815,
+    46.085652552072645, 33.81885798158481, 19.237681148682757,
+]
+
+SWEEP_CLOSED_FORM = [
+    4.94448717844617e-36, 6.992560835071821e-36, 9.88897438534424e-36,
+    1.3985121727047444e-35, 1.9777948884496085e-35, 2.7970243681710097e-35,
+    3.9555898224222593e-35, 5.594048827388105e-35, 7.911179826936692e-35,
+    1.1188098018960563e-34, 1.582236038224211e-34, 2.237619749465864e-34,
+    3.1644723677959418e-34, 4.475240081626813e-34, 6.328945900982188e-34,
+    8.950482494034611e-34, 1.2657896463527403e-33, 1.7900974311198278e-33,
+    2.5315811573321415e-33, 3.580198591495379e-33, 5.0631697731825225e-33,
+    7.160412100046452e-33, 1.0126369380530776e-32, 1.4320883868578075e-32,
+    2.0252858098466654e-32, 2.8642006413196044e-32, 4.0506193552491206e-32,
+    5.728496754734555e-32, 8.101429657471479e-32, 1.1457375411285956e-31,
+    1.6203623140837985e-31, 2.2916278537328777e-31, 3.2410301889295744e-31,
+    4.583866879369311e-31, 6.483282864175709e-31, 9.17017913450701e-31,
+    1.2971457620357663e-30, 1.8350145279684526e-30, 2.5962498392117637e-30,
+    3.673948270067099e-30, 5.2003454208324814e-30, 7.36360873618357e-30,
+    1.0432173908887649e-29, 1.479034994554445e-29, 2.0991084767097643e-29,
+    2.9835514944126334e-29, 4.249561765031528e-29, 6.070882448582653e-29,
+    8.709805186048633e-29, 1.2572124090017904e-28, 1.8306441720538615e-28,
+    2.6994531697918554e-28, 4.054172862842915e-28, 6.254173857695686e-28,
+    1.0037059759066675e-27, 1.7081226639946724e-27, 3.171605217999667e-27,
+    6.696002343592318e-27, 1.7016467560004444e-26, 5.604645835791441e-26,
+    2.622453026209983e-25, 1.953451535139742e-24, 2.67448850433894e-23,
+    8.037855376864927e-22, 6.51464661028602e-20, 1.7719987472012158e-17,
+    1.9887021252090885e-14, 1.0795152435831903e-10, 3.018424022723334e-06,
+]
+
+
+def _count_h_evaluations(monkeypatch):
+    calls = []
+    h_nats = bounds_module._h_nats
+    monkeypatch.setattr(bounds_module, "_h_nats",
+                        lambda p: calls.append(p) or h_nats(p))
+    return calls
+
+
+def test_h_inv_two_evaluations_per_sweep_point(monkeypatch):
+    calls = _count_h_evaluations(monkeypatch)
+    for z in SWEEP_ZS:
+        calls.clear()
+        entropy_h_inv(z)
+        assert len(calls) <= 2, (z, len(calls))
+
+
+def test_sweep_curve_and_closed_form_frozen():
+    points = gamma_curve(EXAMPLE, SWEEP_QS)
+    assert [pt.neg_log2_gamma for pt in points] == SWEEP_NEG_LOG2_GAMMA
+    closed = [float(theorem1_bound(dataclasses.replace(EXAMPLE, queries=q),
+                                   "closed-form")) for q in SWEEP_QS]
+    assert closed == SWEEP_CLOSED_FORM
+
+
+def _assert_near_500bit_root(z, tol=1e-12):
+    ours = entropy_h_inv(z, tol=tol)
+    with mpmath.workprec(500):
+        assert abs(ours - _h_inv_500bit(z)) <= tol, z
+
+
+def _spy_upper_seed(monkeypatch):
+    seeds = []
+    upper = bounds_module.h_inv_upper
+    monkeypatch.setattr(bounds_module, "h_inv_upper",
+                        lambda z: seeds.append(z) or upper(z))
+    return seeds
+
+
+@pytest.mark.parametrize("z", [1e-60, 1 - 1e-15])
+def test_h_inv_float_seed_fallback(z, monkeypatch):
+    # the float64 solve leaves (1/2, 1) at 1e-60 and lands below the root
+    # at 1 - 1e-15, so the solve starts from h_inv_upper
+    seeds = _spy_upper_seed(monkeypatch)
+    _assert_near_500bit_root(z)
+    assert len(seeds) == 1
+
+
+@pytest.mark.parametrize("seed", [0.7, 0.5 + 1e-9, None])
+def test_h_inv_seed_below_root_or_missing(seed, monkeypatch):
+    # the root at z = 7/8 is 0.7050...: every seed here is unusable
+    monkeypatch.setattr(bounds_module, "_h_inv_float", lambda z: seed)
+    seeds = _spy_upper_seed(monkeypatch)
+    _assert_near_500bit_root(Fraction(7, 8))
+    assert len(seeds) == 1
+
+
+def test_h_inv_accepts_every_number_type():
+    for z in (0, 1):
+        assert entropy_h_inv(z) == entropy_h_inv(float(z))
+    values = {entropy_h_inv(z)
+              for z in (0.875, Fraction(7, 8), mpmath.mpf("0.875"))}
+    assert len(values) == 1
+    _assert_near_500bit_root(Fraction(7, 8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0, 1, exclude_min=True, exclude_max=True))
+def test_h_inv_matches_500bit_root_anywhere(z):
+    _assert_near_500bit_root(z)
 
 
 def test_h_inv_upper_dominates_and_matches_float_route():

@@ -58,6 +58,15 @@ def test_encrypt_matches_library(key_path, capsys):
     assert ct == expect.to_hex()
 
 
+def test_seeded_keygen_refuses_keys_above_the_cap(tmp_path, capsys):
+    # just above 2^33 bits: without the cap this builds a 1 GiB key
+    out = tmp_path / "big.key"
+    assert main(["keygen", "--bits", str(2**33 + 8), "--seed", "1",
+                 "--out", str(out)]) == 1
+    assert "8589934592 bits" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_seeded_keygen_is_deterministic(tmp_path):
     a = tmp_path / "a.key"
     b = tmp_path / "b.key"
@@ -134,6 +143,9 @@ def test_usage_errors_exit_one(key_path, tmp_path, monkeypatch):
          "--seed", "18446744073709551616"],  # 2^64: the round field's limit
         ["verify", "--suite", "nonsense"],
         ["verify", "--suite", "collision", "--seed", "-1"],
+        # the bias suite seeds keys with seed + 4, which must fit in 8 bytes
+        ["verify", "--suite", "bias", "--seed", str(2**64 - 4)],
+        ["verify", "--suite", "bias", "--seed", str(2**64 - 1)],
         ["verify", "--suite", "bias", "--trials", "7"],
         ["curve", "--n", "1048576", "--leak", "1024", "--bits", "16",
          "--probes", "16", "--passes", "2", "--q-from", "0", "--q-to", "8",
