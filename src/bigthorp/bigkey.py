@@ -21,11 +21,13 @@ fails closed on a bad magic, an unknown version, a mismatched identifier,
 a wrong byte count, dirty padding, or a header checksum mismatch.  The
 checksum catches a damaged N that keeps ceil(N / 8), which nothing else
 in the file can, so version 1 files, which lack it, raise
-``KeyFileVersionError`` like any other version but 2.  Saving writes a
-temporary file in the target's directory and renames it over the target,
-so a save never truncates a file that a mapped key is still reading.
-Another program that truncates a mapped key file in place makes reads past
-the new end fault (SIGBUS); this module never does so.
+``KeyFileVersionError`` like any other version but 2.  Loading reads the
+header and the last 5 bytes (last key byte and checksum), so it costs the
+same at any N; only a key loaded ``in_memory`` reads the body.  Saving
+writes a temporary file in the target's directory and renames it over the
+target, so a save never truncates a file that a mapped key is still
+reading.  Another program that truncates a mapped key file in place makes
+reads past the new end fault (SIGBUS); this module never does so.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ VERSION = 2
 _MIN_BITS = 8
 _MAX_BITS = 2**64 - 1
 _COPY_CHUNK = 1 << 20
+_HEAD_MAX = 4 + 1 + 1 + 255 + 8
 
 
 class KeyFileError(Exception):
@@ -83,6 +86,39 @@ def _crc(header: bytes) -> bytes:
     return zlib.crc32(header).to_bytes(4, "big")
 
 
+def _decode(head: bytes, tail: bytes, size: int):
+    """Check a key file from its first ``_HEAD_MAX`` bytes (fewer if it is
+    shorter), its last 5 bytes and its size, without I/O; the inverse of
+    ``_encode_header`` plus the trailer.  Returns (oracle_id, n_bits,
+    key_offset)."""
+    if head[:4] != MAGIC:
+        raise KeyFileError("not a key file (bad magic)")
+    if len(head) < 5:
+        raise KeyFileError("truncated header")
+    if head[4] != VERSION:
+        raise KeyFileVersionError(f"unsupported key file version {head[4]}")
+    if len(head) < 6 or len(head) < 6 + head[5]:
+        raise KeyFileError("truncated header")
+    offset = 6 + head[5] + 8
+    try:
+        ident = head[6:offset - 8].decode("ascii")
+    except UnicodeDecodeError:
+        raise KeyFileError("non-ASCII oracle identifier") from None
+    if len(head) < offset:
+        raise KeyFileError("truncated header")
+    n_bits = int.from_bytes(head[offset - 8:offset], "big")
+    if n_bits < _MIN_BITS:
+        raise KeyFileError(f"implausible key size {n_bits}")
+    expected = offset + (n_bits + 7) // 8 + 4
+    if size != expected:
+        raise KeyFileError(f"expected {expected} bytes, file has {size}")
+    if tail[1:] != _crc(head[:offset]):
+        raise KeyFileError("header checksum mismatch")
+    if tail[0] >> (n_bits % 8 or 8):
+        raise KeyFileError("nonzero padding bits")
+    return ident, n_bits, offset
+
+
 class BigKey:
     """An N-bit key in a flat read-only buffer, with probe-local access.
 
@@ -111,17 +147,14 @@ class BigKey:
     def generate(cls, n_bits: int, randomness, oracle_id: str = "shake256") -> "BigKey":
         """Fill a key from caller-supplied randomness.
 
-        ``randomness`` is either a bytes-like object of at least
-        ceil(n_bits / 8) bytes or a reader with a ``read(n)`` method.  The
-        key bits are exactly the supplied bytes under the packing
-        convention, except that spare padding positions are zeroed.
+        ``randomness`` is a bytes-like object of at least ceil(n_bits / 8)
+        bytes.  The key bits are exactly the supplied bytes under the
+        packing convention, except that spare padding positions are zeroed.
         """
         if not _MIN_BITS <= n_bits <= _MAX_BITS:
             raise ValueError(f"key size {n_bits} out of range {_MIN_BITS}..2^64-1")
         needed = (n_bits + 7) // 8
-        if hasattr(randomness, "read"):
-            randomness = randomness.read(needed)
-        data = bytes(randomness)[:needed]
+        data = bytes(randomness[:needed])
         if len(data) < needed:
             raise ValueError(
                 f"insufficient randomness: need {needed} bytes, got {len(data)}"
@@ -137,68 +170,33 @@ class BigKey:
         expected_oracle: Optional[str] = "shake256",
         in_memory: bool = False,
     ) -> "BigKey":
-        """Open a key file, validating every header field before use."""
-        f = open(path, "rb")
-        try:
-            magic = f.read(4)
-            if magic != MAGIC:
-                raise KeyFileError(f"{path}: not a key file (bad magic)")
-            vb = f.read(1)
-            if len(vb) != 1:
-                raise KeyFileError(f"{path}: truncated header")
-            if vb[0] != VERSION:
-                raise KeyFileVersionError(
-                    f"{path}: unsupported key file version {vb[0]}"
-                )
-            lb = f.read(1)
-            if len(lb) != 1:
-                raise KeyFileError(f"{path}: truncated header")
-            ident_raw = f.read(lb[0])
-            if len(ident_raw) != lb[0]:
-                raise KeyFileError(f"{path}: truncated header")
-            try:
-                ident = ident_raw.decode("ascii")
-            except UnicodeDecodeError:
-                raise KeyFileError(f"{path}: non-ASCII oracle identifier") from None
-            nb = f.read(8)
-            if len(nb) != 8:
-                raise KeyFileError(f"{path}: truncated header")
-            n_bits = int.from_bytes(nb, "big")
-            if n_bits < _MIN_BITS:
-                raise KeyFileError(f"{path}: implausible key size {n_bits}")
-            offset = 4 + 1 + 1 + lb[0] + 8
-            needed = (n_bits + 7) // 8
+        """Open a key file, validating every header field before use.
+
+        It reads the head (at most ``_HEAD_MAX`` bytes) and the last 5
+        bytes, checks them with ``_decode`` and maps the file; only
+        ``in_memory=True`` reads the key body.
+        """
+        with open(path, "rb") as f:
+            head = f.read(_HEAD_MAX)
             size = os.fstat(f.fileno()).st_size
-            if size != offset + needed + 4:
-                raise KeyFileError(
-                    f"{path}: expected {offset + needed + 4} bytes, "
-                    f"file has {size}"
-                )
-            f.seek(offset + needed)
-            if f.read(4) != _crc(magic + vb + lb + ident_raw + nb):
-                raise KeyFileError(f"{path}: header checksum mismatch")
-            if n_bits % 8:
-                f.seek(offset + needed - 1)
-                last = f.read(1)[0]
-                if last & ~((1 << (n_bits % 8)) - 1):
-                    raise KeyFileError(f"{path}: nonzero padding bits")
+            f.seek(max(size - 5, 0))
+            try:
+                ident, n_bits, offset = _decode(head, f.read(5), size)
+            except KeyFileError as e:
+                raise type(e)(f"{path}: {e}") from None
             if expected_oracle is not None and ident != expected_oracle:
                 raise OracleMismatchError(
                     f"{path}: key pins oracle {ident!r}, expected "
                     f"{expected_oracle!r}"
                 )
-            if in_memory:
-                f.seek(offset)
-                buf = f.read(needed)
-                if len(buf) != needed:
-                    raise KeyFileError(f"{path}: short read")
-                offset = 0
-            else:
-                buf = mmap.mmap(f.fileno(), offset + needed,
-                                access=mmap.ACCESS_READ)
-        finally:
-            f.close()
-        return cls(n_bits, buf, ident, offset)
+            if not in_memory:
+                buf = mmap.mmap(f.fileno(), size - 4, access=mmap.ACCESS_READ)
+                return cls(n_bits, buf, ident, offset)
+            f.seek(offset)
+            buf = f.read(size - offset - 4)
+        if len(buf) != size - offset - 4:
+            raise KeyFileError(f"{path}: short read")
+        return cls(n_bits, buf, ident)
 
     def save(self, path):
         """Write the key file through a temporary file renamed over ``path``.

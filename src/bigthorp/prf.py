@@ -102,6 +102,13 @@ class CipherParams:
         )
 
 
+def _check_key(key: BigKey, params: CipherParams):
+    if key.n_bits != params.n_bits:
+        raise ValueError(
+            f"key has {key.n_bits} bits but params expect {params.n_bits}"
+        )
+
+
 @dataclass(frozen=True)
 class ProbeDraw:
     """Decoded oracle output for one round-function call."""
@@ -254,8 +261,5 @@ def prf_bit(
     params: CipherParams,
 ) -> int:
     """Full round-function bit for round input ``r_bits`` at ``round_index``."""
-    if key.n_bits != params.n_bits:
-        raise ValueError(
-            f"key has {key.n_bits} bits but params expect {params.n_bits}"
-        )
+    _check_key(key, params)
     return draw_bit(key, derive_probes(oracle, r_bits, round_index, params))

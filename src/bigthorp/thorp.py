@@ -23,7 +23,7 @@ from __future__ import annotations
 from .bigkey import BigKey
 from .bitstring import BitString
 from .oracle import PROBE_TAG, Oracle, encode_query
-from .prf import CipherParams, _round_function, prf_bit
+from .prf import CipherParams, _check_key, _round_function, prf_bit
 
 
 def _check(state: BitString, key: BigKey, params: CipherParams):
@@ -31,10 +31,7 @@ def _check(state: BitString, key: BigKey, params: CipherParams):
         raise ValueError(
             f"state has {len(state)} bits, params expect {params.msg_bits}"
         )
-    if key.n_bits != params.n_bits:
-        raise ValueError(
-            f"key has {key.n_bits} bits but params expect {params.n_bits}"
-        )
+    _check_key(key, params)
 
 
 def round_forward(

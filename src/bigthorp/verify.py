@@ -54,7 +54,7 @@ from .bigkey import BigKey, seed_randomness
 from .bitstring import _reverse_bits
 from .bounds import entropy_h, entropy_h_inv
 from .oracle import PROBE_TAG, Oracle, ScriptedOracle, Shake256Oracle, encode_query
-from .prf import CipherParams, _round_bits
+from .prf import CipherParams, _check_key, _round_bits
 
 _MAX_TABLE_BITS = 20
 _MAX_PARSEVAL_BITS = 16
@@ -370,10 +370,7 @@ def bias_estimate(
     """
     if trials < _MIN_TRIALS:
         raise ValueError("trials must be at least 10^4 for a meaningful estimate")
-    if key.n_bits != params.n_bits:
-        raise ValueError(
-            f"key has {key.n_bits} bits but params expect {params.n_bits}"
-        )
+    _check_key(key, params)
     m = params.msg_bits
     if lt is not None:
         if lt.n0 != key.n_bits:

@@ -1,9 +1,10 @@
 """Key generation, probing, and the key file format."""
 
-import io
+import mmap
 import os
 import sys
 import threading
+import time
 
 import pytest
 
@@ -14,10 +15,14 @@ from bigthorp import (
     KeyFileError,
     KeyFileVersionError,
     OracleMismatchError,
+    ScriptedOracle,
     Shake256Oracle,
+    decrypt,
     encrypt,
     seed_randomness,
 )
+from bigthorp.bigkey import _crc, _encode_header
+from test_golden import ref_encrypt
 
 
 class CountingBuffer:
@@ -57,14 +62,9 @@ def test_generate_requires_enough_randomness():
     with pytest.raises(ValueError):
         BigKey.generate(64, b"\x00" * 7)
     with pytest.raises(ValueError):
-        BigKey.generate(64, io.BytesIO(b"\x00" * 7))
-
-
-def test_generate_from_reader():
-    key = BigKey.generate(16, io.BytesIO(b"\x12\x34\x56"))
-    other = BigKey.generate(16, b"\x12\x34")
-    assert [key.get_bit(i) for i in range(1, 17)] == \
-        [other.get_bit(i) for i in range(1, 17)]
+        BigKey.generate(12, bytearray(1))
+    with pytest.raises(TypeError):
+        BigKey.generate(64, 8)  # bytes(8) would be an all-zero key
 
 
 def test_generate_rejects_tiny_keys():
@@ -300,3 +300,52 @@ def test_failed_save_keeps_the_old_file(tmp_path):
         BigKey(64, FailingBuffer(bytes(8))).save(path)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["key.bk"]
+
+
+def test_key_larger_than_ram_is_used_in_place(tmp_path):
+    # 2^40 bits is a 128 GiB file, far more than the RAM of any test host:
+    # it loads and encrypts within budget only if load and each probe touch
+    # a bounded number of bytes.  Holes read as zero.
+    n, m, k, rounds = 1 << 40, 16, 4, 7
+    header = _encode_header(n, "shake256")
+    size = len(header) + n // 8 + 4
+    path = tmp_path / "huge.bk"
+    with open(path, "wb") as f:
+        f.truncate(size)
+        if os.fstat(f.fileno()).st_blocks * 512 > 1 << 20:
+            pytest.skip("filesystem does not keep holes")
+        f.write(header)
+        # key bits 1, 2^39 + 7 and N set, all else zero
+        for index, byte in ((0, 0x01), (n // 16, 0x40), (n // 8 - 1, 0x80)):
+            f.seek(len(header) + index)
+            f.write(bytes([byte]))
+        f.seek(size - 4)
+        f.write(_crc(header))
+    # every query probes those three bits and a hole, all selected; N is a
+    # power of two, so no word is rejected, and words past N wrap
+    probes = (1, (1 << 39) + 7, n, 3 << 38)
+    script = b"".join((p - 1 + 5 * n).to_bytes(8, "big") for p in probes)
+    script += bytes([0b1111])
+    params = CipherParams(n_bits=n, msg_bits=m, num_probes=k, rounds=rounds)
+    x = BitString.from_hex("c0de", m)
+    start = time.perf_counter()
+    with BigKey.load(path) as key:
+        assert isinstance(key._buf, mmap.mmap)
+        oracle = ScriptedOracle(default_script=script)
+        y = encrypt(x, key, oracle, params)
+        assert decrypt(y, key, oracle, params) == x
+        view = memoryview(key._buf)[key._offset:]
+        try:
+            want = ref_encrypt(lambda q, size: (script + bytes(size))[:size],
+                               view, n, m, k, rounds, x.to_int())
+        finally:
+            view.release()
+        assert y.to_int() == want
+        assert y.to_hex() == "6f1f"
+        shake = CipherParams(n_bits=n, msg_bits=64, num_probes=8, rounds=3)
+        z = BitString.from_hex("0123456789abcdef", 64)
+        ct = encrypt(z, key, Shake256Oracle(), shake)
+        assert decrypt(ct, key, Shake256Oracle(), shake) == z
+    elapsed = time.perf_counter() - start
+    path.unlink()
+    assert elapsed < 5.0, f"took {elapsed:.2f}s, over its 5s budget"
