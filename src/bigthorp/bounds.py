@@ -3,8 +3,13 @@
 Everything here is evaluated with mpmath at 240-bit working precision,
 because the interesting bound values live around 2^-100 where float64
 arithmetic on the intermediate terms would shed exactly the digits the
-caller cares about.  Functions return ``mpf`` values; convert with
-``float()`` at the edge if needed.
+caller cares about.  The evaluation runs on one module-private mpmath
+context fixed at 240 bits, so the global ``mpmath.mp`` precision is
+never read or changed, and threads may evaluate bounds concurrently.
+Each public function checks its arguments once and then calls unchecked
+private helpers.  Results are global ``mpmath.mpf`` values that carry
+the 240-bit mantissas; arithmetic on them rounds at the caller's
+precision.  Convert with ``float()`` at the edge if needed.
 
 The distinguishing-advantage bound for the cipher is a four-term sum in
 the query count q, message width m, probe count k, pass count s (with
@@ -34,10 +39,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable, List, Optional, Union
+from typing import IO, Dict, Iterable, List, Optional, Union
 
 import mpmath
-from mpmath import mpf
 
 from .prf import _rounds_for
 
@@ -50,13 +54,31 @@ _CSV_HEADER = "log2_q,neg_log2_gamma,valid"
 # from h_inv_upper; the float64 solve itself stops after _FLOAT_STEPS
 _NEWTON_STEPS = 32
 _FLOAT_STEPS = 40
-_LN4 = math.log(4)
+_FLOAT_LN4 = math.log(4)
+
+_ctx = mpmath.MPContext()
+_ctx.prec = PRECISION_BITS
+_mpf = _ctx.mpf
+_ln = _ctx.ln
+_ldexp = _ctx.ldexp
+_LN2 = _mpf(_ctx.ln2)
+_LN4 = _ldexp(_LN2, 1)
+_HALF = _mpf(0.5)
+_ZERO = _mpf(0)
+_TOL = 1e-12
+_TOL_MPF = _mpf(_TOL)
 
 
-def _to_mpf(x) -> mpf:
+def _to_mpf(x):
+    """``x`` on the private 240-bit context."""
     if isinstance(x, Fraction):
-        return mpf(x.numerator) / mpf(x.denominator)
-    return mpf(x)
+        return _mpf(x.numerator) / _mpf(x.denominator)
+    return _mpf(x)
+
+
+def _out(x) -> mpmath.mpf:
+    """The same 240-bit value as a global ``mpmath.mpf``."""
+    return mpmath.mp.make_mpf(x._mpf_)
 
 
 def _check_unit(name: str, x) -> None:
@@ -64,27 +86,26 @@ def _check_unit(name: str, x) -> None:
         raise ValueError(f"{name} must be in [0, 1], got {x}")
 
 
-def _h_nats(p: mpf):
+def _h_nats(p):
     """h(p) in nats for 0 < p < 1, with the ln p and ln(1 - p) it took."""
-    a, b = mpmath.log(p), mpmath.log(1 - p)
+    a, b = _ln(p), _ln(1 - p)
     return -p * a - (1 - p) * b, a, b
 
 
-def entropy_h(p: Number) -> mpf:
+def entropy_h(p: Number) -> mpmath.mpf:
     """Binary entropy h(p) in bits; h(0) = h(1) = 0."""
     _check_unit("p", p)
-    with mpmath.workprec(PRECISION_BITS):
-        pm = _to_mpf(p)
-        if pm == 0 or pm == 1:
-            return mpf(0)
-        return _h_nats(pm)[0] / mpmath.ln2
+    pm = _to_mpf(p)
+    if pm == 0 or pm == 1:
+        return mpmath.mpf(0)
+    return _out(_h_nats(pm)[0] / _LN2)
 
 
 def _h_inv_float(z: float) -> Optional[float]:
     """A float64 Newton solve of h(p) = z from the closed-form bound, plus
     1e-13 so that it sits above the root; None if it leaves (1/2, 1)."""
     try:
-        p = 0.5 + math.sqrt(1 - z ** _LN4) / 2
+        p = 0.5 + math.sqrt(1 - z ** _FLOAT_LN4) / 2
         for _ in range(_FLOAT_STEPS):
             h = -p * math.log2(p) - (1 - p) * math.log2(1 - p)
             step = (h - z) / math.log2((1 - p) / p)
@@ -97,7 +118,7 @@ def _h_inv_float(z: float) -> Optional[float]:
     return p if 0.5 < p < 1 else None
 
 
-def entropy_h_inv(z: Number, tol: float = 1e-12) -> mpf:
+def entropy_h_inv(z: Number, tol: float = _TOL) -> mpmath.mpf:
     """Inverse of h on the branch [1/2, 1], by Newton's method from above.
 
     On [1/2, 1] h is concave and strictly decreasing, so a tangent step
@@ -121,55 +142,60 @@ def entropy_h_inv(z: Number, tol: float = 1e-12) -> mpf:
     _check_unit("z", z)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    with mpmath.workprec(PRECISION_BITS):
-        zm = _to_mpf(z)
-        if zm == 0:
-            return mpf(1)
-        if zm == 1:
-            return mpf(0.5)
-        zn, tolm, half = zm * mpmath.ln2, mpf(tol), mpf(0.5)
-        seed, first = _h_inv_float(float(zm)), None
-        if seed is not None:
-            hi = mpf(seed)
-            first = _h_nats(hi)
-            if first[0] > zn:  # the seed is below the root
-                seed = first = None
-        if seed is None:
-            hi = h_inv_upper(zm)
-        for _ in range(_NEWTON_STEPS):
-            new = hi  # the tangent at hi = 1 is vertical
-            if hi < 1:
-                h, a, b = first or _h_nats(hi)
-                first = None
-                if h > zn:  # rounding put hi below the root
-                    break
-                new = hi - (h - zn) / (b - a)
-            if hi - new <= tolm:
-                # [hi - tol, hi] brackets the root if h(hi - tol) >= z
-                if _h_nats(max(half, hi - tolm))[0] >= zn:
-                    return new
-                if new == hi:  # no progress
-                    break
-            hi = new
-        lo, hi = half, mpf(1)
-        mid = (lo + hi) / 2
-        while hi - lo > tolm and lo < mid < hi:
-            if _h_nats(mid)[0] > zn:
-                lo = mid
-            else:
-                hi = mid
-            mid = (lo + hi) / 2
-        return mid
+    return _out(_h_inv(_to_mpf(z), _mpf(tol)))
 
 
-def h_inv_upper(z: Number) -> mpf:
+def _h_inv(zm, tolm):
+    """``entropy_h_inv`` on the private context, for 0 <= zm <= 1."""
+    if zm == 0:
+        return _mpf(1)
+    if zm == 1:
+        return _HALF
+    zn = zm * _LN2
+    seed, first = _h_inv_float(float(zm)), None
+    if seed is not None:
+        hi = _mpf(seed)
+        first = _h_nats(hi)
+        if first[0] > zn:  # the seed is below the root
+            seed = first = None
+    if seed is None:
+        hi = _mpf(h_inv_upper(zm))
+    for _ in range(_NEWTON_STEPS):
+        new = hi  # the tangent at hi = 1 is vertical
+        if hi < 1:
+            h, a, b = first or _h_nats(hi)
+            first = None
+            if h > zn:  # rounding put hi below the root
+                break
+            new = hi - (h - zn) / (b - a)
+        if hi - new <= tolm:
+            # [hi - tol, hi] brackets the root if h(hi - tol) >= z
+            if _h_nats(max(_HALF, hi - tolm))[0] >= zn:
+                return new
+            if new == hi:  # no progress
+                break
+        hi = new
+    lo, hi = _HALF, _mpf(1)
+    mid = _ldexp(lo + hi, -1)
+    while hi - lo > tolm and lo < mid < hi:
+        if _h_nats(mid)[0] > zn:
+            lo = mid
+        else:
+            hi = mid
+        mid = _ldexp(lo + hi, -1)
+    return mid
+
+
+def h_inv_upper(z: Number) -> mpmath.mpf:
     """Algebraic upper bound on entropy_h_inv: 1/2 + sqrt(1 - z^ln4) / 2."""
     _check_unit("z", z)
-    with mpmath.workprec(PRECISION_BITS):
-        zm = _to_mpf(z)
-        if zm == 0:
-            return mpf(1)
-        return mpf(0.5) + mpmath.sqrt(1 - zm ** (2 * mpmath.ln2)) / 2
+    return _out(_h_upper(_to_mpf(z)))
+
+
+def _h_upper(zm):
+    if zm == 0:
+        return _mpf(1)
+    return _HALF + _ldexp(_ctx.sqrt(1 - zm ** _LN4), -1)
 
 
 @dataclass(frozen=True)
@@ -234,59 +260,88 @@ class _KeyTooSmall(ValueError):
     """1 - (alpha + num_probes)/n_bits < 0: the bound does not apply."""
 
 
-def gamma_bound(b: BoundInputs, q: Number, variant: str = "exact") -> mpf:
-    """The two leading bound terms at query count ``q``.
-
-    The one evaluator behind every bound calculator: it checks the
-    variant and the pass count, and computes z = 1 - (alpha + k)/N and
-    the inverse-entropy base once.
-    """
+def _check_bound(b: BoundInputs, variant: str) -> None:
     if variant not in ("exact", "closed-form"):
         raise ValueError(f"unknown variant {variant!r}")
     if b.passes < 1:
         raise ValueError("passes must be at least 1 for the advantage bound")
-    with mpmath.workprec(PRECISION_BITS):
-        qm = _to_mpf(q)
-        if qm < 0:
-            raise ValueError("q must be nonnegative")
-        if qm == 0:
-            return mpf(0)
-        m, k, s, T = b.msg_bits, b.num_probes, b.passes, b.rounds
-        z = 1 - (_to_mpf(b.leak_bits) + m * (qm + 1) + T + k) / b.n_bits
-        if z < 0:
-            raise _KeyTooSmall(
-                f"invalid inputs: 1 - (alpha + num_probes)/n_bits = "
-                f"{mpmath.nstr(z, 6)} is negative (key too small for these "
-                f"parameters)"
-            )
-        base = entropy_h_inv(z) if variant == "exact" else h_inv_upper(z)
-        t1 = qm / (s + 1) * (4 * m * qm / mpf(2) ** m) ** s
-        t2 = qm * T / 2 * base ** (mpf(k) / 2)
-        return t1 + t2
 
 
-def theorem1_bound(b: BoundInputs, variant: str = "exact") -> mpf:
+def _check_q(qm) -> None:
+    if qm < 0:
+        raise ValueError("q must be nonnegative")
+
+
+def _gamma(b: BoundInputs, qm, variant: str):
+    """The two leading bound terms at query count ``qm`` >= 0.
+
+    The one evaluator behind every bound calculator: it computes
+    z = 1 - (alpha + k)/N and the inverse-entropy base once.
+    """
+    if qm == 0:
+        return _ZERO, _ZERO
+    m, k, s, T = b.msg_bits, b.num_probes, b.passes, b.rounds
+    z = 1 - (_mpf(b.leak_bits) + m * (qm + 1) + T + k) / b.n_bits
+    if z < 0:
+        raise _KeyTooSmall(
+            f"invalid inputs: 1 - (alpha + num_probes)/n_bits = "
+            f"{mpmath.nstr(z, 6)} is negative (key too small for these "
+            f"parameters)"
+        )
+    _check_unit("z", z)  # only a NaN query count gets here outside [0, 1]
+    base = _h_inv(z, _TOL_MPF) if variant == "exact" else _h_upper(z)
+    t1 = qm / (s + 1) * _ldexp(4 * m * qm, -m) ** s
+    half_k = base ** (k // 2) if k % 2 == 0 else base ** _ldexp(k, -1)
+    return t1, _ldexp(qm * T, -1) * half_k
+
+
+def gamma_bound(b: BoundInputs, q: Number, variant: str = "exact") -> mpmath.mpf:
+    """The two leading bound terms at query count ``q``, summed."""
+    _check_bound(b, variant)
+    qm = _to_mpf(q)
+    _check_q(qm)
+    t1, t2 = _gamma(b, qm, variant)
+    return _out(t1 + t2)
+
+
+def _theorem1_terms(b: BoundInputs, variant: str = "exact") -> Dict[str, object]:
+    """The four terms of ``theorem1_bound`` keyed by their formulas, in
+    the order it sums them, as 240-bit values of the private context."""
+    q, p = _to_mpf(b.queries), _to_mpf(b.oracle_calls)
+    _check_bound(b, variant)
+    _check_q(q)
+    t1, t2 = _gamma(b, q, variant)
+    m = b.msg_bits
+    return {
+        "q/(s+1)*(4mq/2^m)^s": t1,
+        "(qT/2)*hinv(z)^(k/2)": t2,
+        "qp/2^(m-1)": _ldexp(q * p, 1 - m),
+        "qT/2^m": _ldexp(q * b.rounds, -m),
+    }
+
+
+def theorem1_bound(b: BoundInputs, variant: str = "exact") -> mpmath.mpf:
     """Full four-term advantage upper bound.
 
     ``variant`` selects how the inverse entropy factor is computed:
     "exact" solves h(p) = z to 1e-12 (``entropy_h_inv``), "closed-form"
     uses the algebraic upper bound (slightly larger, cheaper still).
     """
-    with mpmath.workprec(PRECISION_BITS):
-        q, p = _to_mpf(b.queries), _to_mpf(b.oracle_calls)
-        two_m = mpf(2) ** b.msg_bits
-        return (gamma_bound(b, q, variant)
-                + q * p / (two_m / 2) + q * b.rounds / two_m)
+    t1, t2, t3, t4 = _theorem1_terms(b, variant).values()
+    return _out(t1 + t2 + t3 + t4)
 
 
-def log2_gamma(b: BoundInputs, q: Number, variant: str = "exact") -> mpf:
+def log2_gamma(b: BoundInputs, q: Number, variant: str = "exact") -> mpmath.mpf:
     """log2 of ``gamma_bound``, the value the curve generator reports.
 
     mpf exponents are unbounded, so this stays exact for bounds far below
     the float range.
     """
-    with mpmath.workprec(PRECISION_BITS):
-        return mpmath.log(gamma_bound(b, q, variant), 2)
+    _check_bound(b, variant)
+    qm = _to_mpf(q)
+    _check_q(qm)
+    t1, t2 = _gamma(b, qm, variant)
+    return _out(_ctx.log(t1 + t2, 2))
 
 
 @dataclass(frozen=True)
@@ -309,25 +364,27 @@ def gamma_curve(b: BoundInputs, q_values: Iterable[Number]) -> List[GammaPoint]:
     failing, a negative inverse-entropy argument, or a bound above 1.
     """
     c = b.leak_bits // b.msg_bits
+    two_m = _ldexp(1, b.msg_bits)
     points = []
-    with mpmath.workprec(PRECISION_BITS):
-        for q in q_values:
-            qm = _to_mpf(q)
-            lg_q = float(mpmath.log(qm, 2)) if qm > 0 else float("-inf")
-            neg, reason = None, ""
-            if qm < 0:
-                reason = "q < 0"
-            elif qm * c > mpf(2) ** b.msg_bits:
-                reason = "q * floor(leak_bits/msg_bits) > 2^msg_bits"
+    for q in q_values:
+        qm = _to_mpf(q)
+        lg_q = float(_ctx.log(qm, 2)) if qm > 0 else float("-inf")
+        neg, reason = None, ""
+        if qm < 0:
+            reason = "q < 0"
+        elif qm * c > two_m:
+            reason = "q * floor(leak_bits/msg_bits) > 2^msg_bits"
+        else:
+            _check_bound(b, "exact")  # the pass count matters only here
+            try:
+                t1, t2 = _gamma(b, qm, "exact")
+            except _KeyTooSmall:
+                reason = "1 - (alpha + num_probes)/n_bits < 0"
             else:
-                try:
-                    neg = float(-log2_gamma(b, qm))
-                except _KeyTooSmall:
-                    reason = "1 - (alpha + num_probes)/n_bits < 0"
-                else:
-                    if neg < 0:
-                        neg, reason = None, "bound exceeds 1"
-            points.append(GammaPoint(float(q), lg_q, neg, not reason, reason))
+                neg = float(-_ctx.log(t1 + t2, 2))
+                if neg < 0:
+                    neg, reason = None, "bound exceeds 1"
+        points.append(GammaPoint(float(q), lg_q, neg, not reason, reason))
     return points
 
 
@@ -356,13 +413,12 @@ def naive_adv_lower(b: BoundInputs) -> NaiveAdvBound:
     form with x = q*c/2^m, valid for all q.  Both are exact rationals.
     """
     q = Fraction(b.queries)
-    c = math.floor(Fraction(b.leak_bits) / b.msg_bits)
+    c = b.leak_bits // b.msg_bits
     two_m = 2 ** b.msg_bits
     x = q * c / two_m
-    simple = q * c / (4 * two_m)
     hyper = x / (1 + x) * (1 - Fraction(1, two_m))
     return NaiveAdvBound(
-        simple=simple,
+        simple=x / 4,
         hypergeometric=hyper,
         hypothesis_ok=(q * c <= two_m),
     )

@@ -107,6 +107,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--closed-form", action="store_true",
                    help="use the algebraic inverse-entropy upper bound "
                    "instead of solving h(p) = z to 1e-12")
+    p.add_argument("--terms", action="store_true",
+                   help="also print the four terms the upper bound sums")
 
     p = sub.add_parser("curve", help="emit the leading-terms bound curve as CSV")
     _add_bound_args(p)
@@ -228,9 +230,8 @@ def _cmd_bounds(args) -> int:
     variant = "closed-form" if args.closed_form else "exact"
     value = bounds.theorem1_bound(b, variant=variant)
     naive = bounds.naive_adv_lower(b)
-    with mpmath.workprec(bounds.PRECISION_BITS):
-        simple = bounds._to_mpf(naive.simple)
-        hyper = bounds._to_mpf(naive.hypergeometric)
+    simple = bounds._to_mpf(naive.simple)
+    hyper = bounds._to_mpf(naive.hypergeometric)
     if hyper > value:
         # only the paper's theorem can say whether the bound should charge the
         # floor(leak/bits) * T calls the naive leakage spends, or lacks a term
@@ -247,6 +248,9 @@ def _cmd_bounds(args) -> int:
           f"{mpmath.nstr(hyper, 10)}")
     print(f"naive hypothesis q*floor(leak/bits) <= 2^bits: "
           f"{'holds' if naive.hypothesis_ok else 'violated'}")
+    if args.terms:
+        for formula, term in bounds._theorem1_terms(b, variant).items():
+            print(f"term {formula}: {mpmath.nstr(term, 10)}")
     return 0
 
 

@@ -244,19 +244,26 @@ def _fiber_collision_mass(fiber: np.ndarray, n0: int):
     0-based probe positions, the sum of squared pattern probabilities of
     the probed bits for a uniform element of ``fiber``.
 
-    Probe j of a row is bit j of that row's pattern index, so k <= 63
-    keeps the index in an int64.  Each row's nonzero counts are squared in
-    index order and summed by numpy's row reduction, so a row gives the
-    same float, bit for bit, as the sum over that row alone.
+    Probe j of a row is bit j of that row's pattern index.  The index is
+    held in the narrowest unsigned dtype with k bits up to k = 32, and in
+    an int64 above that (so k <= 63), since numpy's shift-and-or is several
+    times slower on uint64.  Up to 16 bits a stable sort is numpy's radix
+    sort; wider codes keep the default introsort, which beats the stable
+    merge sort there.  Each row's nonzero counts are squared in index
+    order and summed by numpy's row reduction, so a row gives the same
+    float, bit for bit, as the sum over that row alone.
     """
     bits = (fiber[None, :] >> np.arange(n0)[:, None]) & 1
     rows_at_once = max(1, _MASS_CELLS // fiber.size)
 
     def block(positions: np.ndarray) -> np.ndarray:
-        idx = np.zeros((len(positions), fiber.size), dtype=np.int64)
-        for j in range(positions.shape[1]):
-            idx |= bits[positions[:, j]] << j
-        idx.sort(axis=1)
+        k = positions.shape[1]
+        codes = bits.astype(np.min_scalar_type((1 << k) - 1) if k <= 32
+                            else np.int64)
+        idx = np.zeros((len(positions), fiber.size), dtype=codes.dtype)
+        for j in range(k):
+            idx |= codes[positions[:, j]] << j
+        idx.sort(axis=1, kind="stable" if k <= 16 else None)
         starts = np.ones(idx.shape, dtype=bool)
         starts[:, 1:] = idx[:, 1:] != idx[:, :-1]
         first = np.flatnonzero(starts)  # each row's patterns, in index order

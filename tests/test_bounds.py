@@ -4,6 +4,8 @@ import dataclasses
 import io
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath
@@ -241,6 +243,40 @@ def test_sweep_curve_and_closed_form_frozen():
     closed = [float(theorem1_bound(dataclasses.replace(EXAMPLE, queries=q),
                                    "closed-form")) for q in SWEEP_QS]
     assert closed == SWEEP_CLOSED_FORM
+
+
+def test_threads_share_the_sweep_bit_for_bit():
+    # bounds never switches the global mpmath context: four threads with
+    # a tiny switch interval get the serial values, and mp.prec is as it was
+    at_q = [dataclasses.replace(EXAMPLE, queries=q) for q in SWEEP_QS]
+
+    def sweep():
+        return ([log2_gamma(EXAMPLE, q)._mpf_ for q in SWEEP_QS],
+                [theorem1_bound(b, "closed-form")._mpf_ for b in at_q])
+
+    serial, prec = sweep(), mpmath.mp.prec
+    results = []
+
+    def worker():
+        for _ in range(6):
+            results.append(sweep())
+
+    threads = [threading.Thread(target=worker) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        left, mpmath.mp.prec = mpmath.mp.prec, prec
+    assert not any(t.is_alive() for t in threads)
+    assert left == prec
+    assert len(results) == 24
+    for got in results:
+        assert got == serial
 
 
 def _assert_near_500bit_root(z, tol=1e-12):

@@ -250,6 +250,19 @@ def test_bounds_lower_above_upper_stdout_is_pinned(name, capsys):
     assert capsys.readouterr().out.splitlines() == expected
 
 
+def test_bounds_terms_stdout_is_pinned(capsys):
+    # example-2: q = s = 1, m = 8, T = 15 and p = 0, so the terms are
+    # 1/2 * 32/256, the probe term, 0 and 15/256, summing to the first line
+    argv, expected = _LOWER_ABOVE_UPPER["example-2"]
+    assert main(["bounds", *argv, "--terms"]) == 0
+    assert capsys.readouterr().out.splitlines() == expected + [
+        "term q/(s+1)*(4mq/2^m)^s: 0.0625",
+        "term (qT/2)*hinv(z)^(k/2): 9.175930583e-9",
+        "term qp/2^(m-1): 0.0",
+        "term qT/2^m: 0.05859375",
+    ]
+
+
 def test_bounds_warns_when_lower_exceeds_upper(capsys):
     argv, _ = _LOWER_ABOVE_UPPER["example-2"]
     assert main(["bounds", *argv, "--oracle-calls", "20.5"]) == 0

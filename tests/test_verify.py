@@ -348,6 +348,18 @@ def test_fiber_collision_mass_matches_full_index_count():
         assert got.tolist() == [_full_index_mass(fiber, row) for row in batch]
 
 
+@pytest.mark.parametrize("k", [8, 9, 16, 17, 32, 33, 63])
+def test_fiber_collision_mass_at_each_pattern_width(k):
+    # the pattern index changes dtype at 8, 16 and 32 bits; each width
+    # gives the full-index count's floats, bit for bit
+    rng = np.random.default_rng(k)
+    lt = LeakageTable.random(10, 2, rng)
+    fiber = lt.fiber(int(lt.table[0]))
+    batch = rng.integers(0, 10, (5, k)).tolist()
+    got = _fiber_collision_mass(fiber, 10)(batch)
+    assert got.tolist() == [_full_index_mass(fiber, row) for row in batch]
+
+
 @pytest.mark.parametrize("n0, l0, k", [(5, 1, 1), (6, 2, 2), (7, 2, 3),
                                        (8, 0, 3)])
 def test_main_lemma_expected_g_matches_per_tuple_loop(n0, l0, k):
