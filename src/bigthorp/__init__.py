@@ -38,7 +38,7 @@ from .oracle import (
     ScriptedOracle,
     Shake256Oracle,
 )
-from .prf import CipherParams, ProbeDraw, derive_probes, draw_bit, prf_bit
+from .prf import CipherParams, ProbeDraw, derive_probes, draw_bit
 from .thorp import decrypt, encrypt, round_backward, round_forward
 
 __version__ = "0.1.0"
@@ -71,7 +71,6 @@ __all__ = [
     "h_inv_upper",
     "log2_gamma",
     "naive_adv_lower",
-    "prf_bit",
     "round_backward",
     "round_forward",
     "seed_randomness",

@@ -1,9 +1,11 @@
 """Huge bit-addressable keys with a versioned on-disk format.
 
 A key is N random bits that may be far too large to hold in memory, so
-the bits live in one flat read-only buffer: ``bytes`` for generated keys
-and keys loaded ``in_memory``, or a read-only ``mmap`` of the key file for
-keys used in place on disk.  A probe costs one byte read from the buffer,
+the bits live in one flat read-only buffer that holds exactly the
+ceil(N / 8) key bytes: ``bytes`` for generated keys and keys loaded
+``in_memory``, or a read-only ``memoryview`` of the key bytes in an
+``mmap`` of the key file for keys used in place on disk.  Bit i is in
+byte (i - 1) // 8 of the buffer.  A probe costs one byte read from it,
 so a round touches at most k key bytes however large the key is, and the
 mapping has no shared file position, so threads may share one key.
 
@@ -46,7 +48,7 @@ import zlib
 from typing import Optional
 
 from .bitstring import BitString
-from .oracle import KEYGEN_TAG, Oracle, OracleQuery, Shake256Oracle
+from .oracle import KEYGEN_TAG, OracleQuery, Shake256Oracle
 
 MAGIC = b"BIGK"
 VERSION = 2
@@ -69,17 +71,15 @@ class OracleMismatchError(KeyFileError):
     """Key file pins a different oracle backend than the caller expects."""
 
 
-def seed_randomness(n_bytes: int, seed: int, oracle: Optional[Oracle] = None) -> bytes:
+def seed_randomness(n_bytes: int, seed: int) -> bytes:
     """Expand a small seed into key material via the key-generation domain.
 
     This exists so deterministic keys (tests, reproducible CLI runs) come
     from the same oracle family as everything else, under a domain tag that
     the cipher's probe queries never use.
     """
-    if oracle is None:
-        oracle = Shake256Oracle()
     query = OracleQuery(KEYGEN_TAG, seed, 1, BitString())
-    return oracle.stream(query, n_bytes)
+    return Shake256Oracle().stream(query, n_bytes)
 
 
 def _encode_header(n_bits: int, oracle_id: str) -> bytes:
@@ -97,7 +97,7 @@ def _decode(head: bytes, tail: bytes, size: int):
     """Check a key file from its first ``_HEAD_MAX`` bytes (fewer if it is
     shorter), its last 5 bytes and its size, without I/O; the inverse of
     ``_encode_header`` plus the trailer.  Returns (oracle_id, n_bits,
-    key_offset)."""
+    offset), where the key bytes start at ``offset`` in the file."""
     if head[:4] != MAGIC:
         raise KeyFileError("not a key file (bad magic)")
     if len(head) < 5:
@@ -129,24 +129,25 @@ def _decode(head: bytes, tail: bytes, size: int):
 class BigKey:
     """An N-bit key in a flat read-only buffer, with probe-local access.
 
-    ``buf`` holds the key bytes from index ``offset`` to its end: ``bytes``,
-    a read-only ``mmap``, or anything else with ``len`` and indexing.
+    ``buf`` holds exactly the ceil(n_bits / 8) key bytes: ``bytes``, a
+    read-only ``memoryview``, or anything else with ``len`` and indexing.
+    A key from ``load`` also owns the ``mmap`` under its view, which
+    ``close`` releases.
     """
 
-    def __init__(self, n_bits: int, buf, oracle_id: str = "shake256",
-                 offset: int = 0):
+    def __init__(self, n_bits: int, buf, oracle_id: str = "shake256"):
         if not _MIN_BITS <= n_bits <= _MAX_BITS:
             raise ValueError(f"key size {n_bits} out of range {_MIN_BITS}..2^64-1")
         needed = (n_bits + 7) // 8
-        if len(buf) - offset != needed:
+        if len(buf) != needed:
             raise ValueError(
-                f"buffer holds {len(buf) - offset} key bytes, key of {n_bits} "
+                f"buffer holds {len(buf)} key bytes, key of {n_bits} "
                 f"bits needs {needed}"
             )
         self.n_bits = n_bits
         self.oracle_id = oracle_id
         self._buf = buf
-        self._offset = offset
+        self._mmap = None
 
     # -- construction ---------------------------------------------------
 
@@ -180,8 +181,8 @@ class BigKey:
         """Open a key file, validating every header field before use.
 
         It reads the head (at most ``_HEAD_MAX`` bytes) and the last 5
-        bytes, checks them with ``_decode`` and maps the file; only
-        ``in_memory=True`` reads the key body.
+        bytes, checks them with ``_decode`` and maps the file, keeping a
+        view of the key bytes; only ``in_memory=True`` reads the key body.
         """
         with open(path, "rb") as f:
             head = f.read(_HEAD_MAX)
@@ -197,10 +198,12 @@ class BigKey:
                     f"{expected_oracle!r}"
                 )
             if not in_memory:
-                buf = mmap.mmap(f.fileno(), size - 4, access=mmap.ACCESS_READ)
+                mapping = mmap.mmap(f.fileno(), size - 4, access=mmap.ACCESS_READ)
                 if hasattr(mmap, "MADV_RANDOM"):
-                    buf.madvise(mmap.MADV_RANDOM)
-                return cls(n_bits, buf, ident, offset)
+                    mapping.madvise(mmap.MADV_RANDOM)
+                key = cls(n_bits, memoryview(mapping)[offset:], ident)
+                key._mmap = mapping
+                return key
             f.seek(offset)
             buf = f.read(size - offset - 4)
         if len(buf) != size - offset - 4:
@@ -224,7 +227,7 @@ class BigKey:
                 except TypeError:  # a store without the buffer protocol
                     view = contextlib.nullcontext(self._buf)
                 with view as data:
-                    for pos in range(self._offset, len(data), _COPY_CHUNK):
+                    for pos in range(0, len(data), _COPY_CHUNK):
                         f.write(data[pos : pos + _COPY_CHUNK])
                 f.write(_crc(header))
             os.replace(tmp, path)
@@ -237,22 +240,24 @@ class BigKey:
     def get_bit(self, i: int) -> int:
         if not 1 <= i <= self.n_bits:
             raise IndexError(f"key bit index {i} out of range 1..{self.n_bits}")
-        return self._buf[self._offset + ((i - 1) >> 3)] >> ((i - 1) & 7) & 1
+        return self._buf[(i - 1) >> 3] >> ((i - 1) & 7) & 1
 
     def subkey(self, probes) -> BitString:
         """Read the probed bits, in order, repeats included."""
-        buf, offset, n = self._buf, self._offset, self.n_bits
+        buf, n = self._buf, self.n_bits
         value = length = 0
         for p in probes:
             if not 1 <= p <= n:
                 raise IndexError(f"probe {p} out of range 1..{n}")
-            value |= (buf[offset + ((p - 1) >> 3)] >> ((p - 1) & 7) & 1) << length
+            value |= (buf[(p - 1) >> 3] >> ((p - 1) & 7) & 1) << length
             length += 1
         return BitString._make(length, value)
 
     def close(self):
-        if isinstance(self._buf, mmap.mmap):
-            self._buf.close()
+        """Release a mapped key's view, then its mapping; again is a no-op."""
+        if self._mmap is not None:
+            self._buf.release()
+            self._mmap.close()
 
     def __enter__(self) -> "BigKey":
         return self

@@ -267,11 +267,6 @@ def _check_bound(b: BoundInputs, variant: str) -> None:
         raise ValueError("passes must be at least 1 for the advantage bound")
 
 
-def _check_q(qm) -> None:
-    if qm < 0:
-        raise ValueError("q must be nonnegative")
-
-
 def _gamma(b: BoundInputs, qm, variant: str):
     """The two leading bound terms at query count ``qm`` >= 0.
 
@@ -295,12 +290,19 @@ def _gamma(b: BoundInputs, qm, variant: str):
     return t1, _ldexp(qm * T, -1) * half_k
 
 
-def gamma_bound(b: BoundInputs, q: Number, variant: str = "exact") -> mpmath.mpf:
-    """The two leading bound terms at query count ``q``, summed."""
+def _checked_gamma(b: BoundInputs, q, variant: str):
+    """``_gamma`` at query count ``q`` after the checks of every public
+    bound calculator, in their order: the inputs, then q."""
     _check_bound(b, variant)
     qm = _to_mpf(q)
-    _check_q(qm)
-    t1, t2 = _gamma(b, qm, variant)
+    if qm < 0:
+        raise ValueError("q must be nonnegative")
+    return _gamma(b, qm, variant)
+
+
+def gamma_bound(b: BoundInputs, q: Number, variant: str = "exact") -> mpmath.mpf:
+    """The two leading bound terms at query count ``q``, summed."""
+    t1, t2 = _checked_gamma(b, q, variant)
     return _out(t1 + t2)
 
 
@@ -308,9 +310,7 @@ def _theorem1_terms(b: BoundInputs, variant: str = "exact") -> Dict[str, object]
     """The four terms of ``theorem1_bound`` keyed by their formulas, in
     the order it sums them, as 240-bit values of the private context."""
     q, p = _to_mpf(b.queries), _to_mpf(b.oracle_calls)
-    _check_bound(b, variant)
-    _check_q(q)
-    t1, t2 = _gamma(b, q, variant)
+    t1, t2 = _checked_gamma(b, q, variant)
     m = b.msg_bits
     return {
         "q/(s+1)*(4mq/2^m)^s": t1,
@@ -337,10 +337,7 @@ def log2_gamma(b: BoundInputs, q: Number, variant: str = "exact") -> mpmath.mpf:
     mpf exponents are unbounded, so this stays exact for bounds far below
     the float range.
     """
-    _check_bound(b, variant)
-    qm = _to_mpf(q)
-    _check_q(qm)
-    t1, t2 = _gamma(b, qm, variant)
+    t1, t2 = _checked_gamma(b, q, variant)
     return _out(_ctx.log(t1 + t2, 2))
 
 

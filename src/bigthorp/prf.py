@@ -26,8 +26,8 @@ its queries in batches through ``_round_bits``, which decodes every row
 whose first k words are accepted at once with numpy and sends each other
 row back through ``_probe_decoder``; it returns the same bits and words
 as ``_round_function``.  numpy is imported only when a batch kernel is
-built.  The staged ``derive_probes``/``prf_bit`` read the key through
-``BigKey.subkey``.
+built.  The staged ``derive_probes``/``draw_bit`` pair reads the key
+through ``BigKey.subkey``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from itertools import compress
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .bigkey import BigKey
 from .bitstring import BitString
@@ -66,7 +66,6 @@ class CipherParams:
     msg_bits: int
     num_probes: int
     rounds: int
-    passes: Optional[int] = None
 
     def __post_init__(self):
         if not 1 <= self.n_bits <= _B:
@@ -77,15 +76,6 @@ class CipherParams:
             raise ValueError("num_probes must be at least 1")
         if self.rounds < 0:
             raise ValueError("rounds must be nonnegative")
-        if self.passes is not None:
-            if self.passes < 1:
-                raise ValueError("passes must be at least 1 when given")
-            derived = _rounds_for(self.msg_bits, self.passes)
-            if self.rounds != derived:
-                raise ValueError(
-                    f"rounds {self.rounds} inconsistent with passes "
-                    f"{self.passes} (expected {derived})"
-                )
 
     @classmethod
     def from_passes(
@@ -93,13 +83,7 @@ class CipherParams:
     ) -> "CipherParams":
         if passes < 1:
             raise ValueError("passes must be at least 1")
-        return cls(
-            n_bits=n_bits,
-            msg_bits=msg_bits,
-            num_probes=num_probes,
-            rounds=_rounds_for(msg_bits, passes),
-            passes=passes,
-        )
+        return cls(n_bits, msg_bits, num_probes, _rounds_for(msg_bits, passes))
 
 
 def _check_key(key: BigKey, params: CipherParams):
@@ -178,7 +162,7 @@ def _round_function(params: CipherParams, key: BigKey):
     w % N + 1.  Callers check once that the key has ``params.n_bits`` bits.
     """
     decode = _probe_decoder(params)
-    n, buf, offset = params.n_bits, key._buf, key._offset
+    n, buf = params.n_bits, key._buf
     mask_digits = f"0{params.num_probes}b"
 
     def bit(stream, query):
@@ -188,7 +172,7 @@ def _round_function(params: CipherParams, key: BigKey):
         acc = 0
         for word in compress(reversed(words), selected):
             p = word % n
-            acc ^= buf[offset + (p >> 3)] >> (p & 7)
+            acc ^= buf[p >> 3] >> (p & 7)
         return acc & 1, words
 
     return bit
@@ -223,7 +207,7 @@ def _round_bits(params: CipherParams, key: BigKey):
                 masks[i] = list(mask.to_bytes(mask_bytes, "little"))
         selected = np.unpackbits(masks, axis=1, count=k, bitorder="little")
         p = words % n
-        key_bytes = np.frombuffer(key._buf, np.uint8, offset=key._offset)
+        key_bytes = np.frombuffer(key._buf, np.uint8)
         probed = key_bytes[p >> 3] >> (p & 7).astype(np.uint8) & selected
         return np.bitwise_xor.reduce(probed, axis=1), words
 
@@ -251,15 +235,3 @@ def draw_bit(key: BigKey, draw: ProbeDraw) -> int:
     """XOR of the key bits selected by an already-decoded draw."""
     sub = key.subkey(draw.probes)
     return (sub._value & draw.subset_mask._value).bit_count() & 1
-
-
-def prf_bit(
-    key: BigKey,
-    oracle: Oracle,
-    r_bits: BitString,
-    round_index: int,
-    params: CipherParams,
-) -> int:
-    """Full round-function bit for round input ``r_bits`` at ``round_index``."""
-    _check_key(key, params)
-    return draw_bit(key, derive_probes(oracle, r_bits, round_index, params))

@@ -15,7 +15,8 @@ This module is the Feistel network and nothing else: the round bit comes
 from ``prf``.  ``encrypt`` and ``decrypt`` check their arguments once and
 run every round on the state held as an integer, taking F from
 ``prf._round_function``.  ``round_forward`` and ``round_backward`` are the
-same rounds on bit strings, taking F from the staged ``prf_bit``.
+same rounds on bit strings, taking F from the staged ``derive_probes`` and
+``draw_bit``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from __future__ import annotations
 from .bigkey import BigKey
 from .bitstring import BitString
 from .oracle import PROBE_TAG, Oracle, encode_query
-from .prf import CipherParams, _check_key, _round_function, prf_bit
+from .prf import (CipherParams, _check_key, _round_function, derive_probes,
+                  draw_bit)
 
 
 def _check(state: BitString, key: BigKey, params: CipherParams):
@@ -43,7 +45,7 @@ def round_forward(
 ) -> BitString:
     _check(state, key, params)
     left, rest = state.split_lr()
-    f = prf_bit(key, oracle, rest, round_index, params)
+    f = draw_bit(key, derive_probes(oracle, rest, round_index, params))
     return rest.append_bit(left ^ f)
 
 
@@ -56,7 +58,7 @@ def round_backward(
 ) -> BitString:
     _check(state, key, params)
     rest, masked = state.split_last()
-    f = prf_bit(key, oracle, rest, round_index, params)
+    f = draw_bit(key, derive_probes(oracle, rest, round_index, params))
     return rest.prepend_bit(masked ^ f)
 
 

@@ -244,26 +244,31 @@ def _fiber_collision_mass(fiber: np.ndarray, n0: int):
     0-based probe positions, the sum of squared pattern probabilities of
     the probed bits for a uniform element of ``fiber``.
 
-    Probe j of a row is bit j of that row's pattern index.  The index is
-    held in the narrowest unsigned dtype with k bits up to k = 32, and in
-    an int64 above that (so k <= 63), since numpy's shift-and-or is several
-    times slower on uint64.  Up to 16 bits a stable sort is numpy's radix
-    sort; wider codes keep the default introsort, which beats the stable
-    merge sort there.  Each row's nonzero counts are squared in index
-    order and summed by numpy's row reduction, so a row gives the same
-    float, bit for bit, as the sum over that row alone.
+    A probe sets the bit of its position's rank among the row's last
+    occurrences in that row's pattern index.  Equal positions carry equal
+    bits, so the patterns sort in the same order as an index with probe j
+    at bit j, and the index stays below 2^min(k, n0), which fits 16 bits
+    and so takes numpy's stable radix sort.  Each row's nonzero counts are
+    squared in index order and summed by numpy's row reduction, so a row
+    gives the same float, bit for bit, as the sum over that row alone.
     """
     bits = (fiber[None, :] >> np.arange(n0)[:, None]) & 1
     rows_at_once = max(1, _MASS_CELLS // fiber.size)
 
     def block(positions: np.ndarray) -> np.ndarray:
         k = positions.shape[1]
-        codes = bits.astype(np.min_scalar_type((1 << k) - 1) if k <= 32
-                            else np.int64)
+        codes = bits.astype(np.min_scalar_type((1 << min(k, n0)) - 1))
+        ids = np.arange(len(positions))[:, None]
+        last = np.empty((len(positions), n0), dtype=np.intp)
+        for j in range(k):
+            last[ids, positions[:, j : j + 1]] = j
+        at = last[ids, positions]  # where each probe's position last occurs
+        seen = np.cumsum(at == np.arange(k), axis=1, dtype=codes.dtype)
+        shift = seen[ids, at] - 1  # rank among the row's last occurrences
         idx = np.zeros((len(positions), fiber.size), dtype=codes.dtype)
         for j in range(k):
-            idx |= codes[positions[:, j]] << j
-        idx.sort(axis=1, kind="stable" if k <= 16 else None)
+            idx |= codes[positions[:, j]] << shift[:, j, None]
+        idx.sort(axis=1, kind="stable")
         starts = np.ones(idx.shape, dtype=bool)
         starts[:, 1:] = idx[:, 1:] != idx[:, :-1]
         first = np.flatnonzero(starts)  # each row's patterns, in index order
@@ -386,8 +391,6 @@ def bias_estimate(
             raise ValueError(
                 f"conditioning needs key size <= {_MAX_FIBER_BITS} bits"
             )
-        if params.num_probes > 63:
-            raise ValueError("conditioning supports at most 63 probes")
         x0 = sum(key.get_bit(i) << (i - 1) for i in range(1, key.n_bits + 1))
         mass = _fiber_collision_mass(lt.fiber(int(lt.table[x0])), lt.n0)
     else:

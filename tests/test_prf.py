@@ -18,7 +18,8 @@ from bigthorp import (
     Shake256Oracle,
     derive_probes,
     draw_bit,
-    prf_bit,
+    round_backward,
+    round_forward,
     seed_randomness,
 )
 from bigthorp.oracle import encode_query
@@ -40,6 +41,13 @@ def words(*values):
     return b"".join(v.to_bytes(8, "big") for v in values)
 
 
+def round_bit(key, oracle, r_bits, round_index, params):
+    """The round function's bit for a bit-string round input."""
+    bit = _round_function(params, key)
+    query = encode_query(PROBE_TAG, round_index, params.msg_bits, r_bits.to_int())
+    return bit(oracle.stream_bytes, query)[0]
+
+
 # -- CipherParams -----------------------------------------------------------
 
 
@@ -58,8 +66,6 @@ def test_params_validation():
         CipherParams(n_bits=64, msg_bits=5, num_probes=0, rounds=9)
     with pytest.raises(ValueError):
         CipherParams(n_bits=64, msg_bits=5, num_probes=3, rounds=-1)
-    with pytest.raises(ValueError):
-        CipherParams(n_bits=64, msg_bits=5, num_probes=3, rounds=10, passes=1)
     with pytest.raises(ValueError):
         CipherParams.from_passes(64, 5, 16, 0)
     # rounds = 0 is the identity cipher, and legal
@@ -194,7 +200,7 @@ def test_prf_bit_xors_selected_key_bits():
     ]
     for mask, expected in cases:
         oracle = ScriptedOracle(scripts={probe_query(p): words(0, 1, 2) + mask})
-        assert prf_bit(key, oracle, BitString.zeros(4), 1, p) == expected
+        assert round_bit(key, oracle, BitString.zeros(4), 1, p) == expected
 
 
 def test_empty_subset_forced_globally():
@@ -206,23 +212,25 @@ def test_empty_subset_forced_globally():
     rng = random.Random(3)
     for _ in range(50):
         r = BitString([rng.randrange(2) for _ in range(5)])
-        assert prf_bit(key, oracle, r, rng.randrange(1, 50), p) == 0
+        assert round_bit(key, oracle, r, rng.randrange(1, 50), p) == 0
 
 
 def test_prf_deterministic_across_backend_instances():
     key = BigKey.generate(32, b"\xde\xad\xbe\xef")
     p = CipherParams(n_bits=32, msg_bits=7, num_probes=4, rounds=13)
     r = BitString("110100")
-    a = prf_bit(key, Shake256Oracle(), r, 5, p)
-    b = prf_bit(key, Shake256Oracle(), r, 5, p)
+    a = round_bit(key, Shake256Oracle(), r, 5, p)
+    b = round_bit(key, Shake256Oracle(), r, 5, p)
     assert a == b
 
 
 def test_prf_key_params_mismatch():
+    # the staged rounds check the key once, before deriving any probe
     key = BigKey.generate(16, b"\x00\x00")
     p = CipherParams(n_bits=32, msg_bits=5, num_probes=3, rounds=9)
-    with pytest.raises(ValueError):
-        prf_bit(key, Shake256Oracle(), BitString.zeros(4), 1, p)
+    for staged_round in (round_forward, round_backward):
+        with pytest.raises(ValueError):
+            staged_round(BitString.zeros(5), 1, key, Shake256Oracle(), p)
 
 
 def test_draw_bit_matches_manual_xor():
@@ -246,13 +254,13 @@ def test_prf_small_sample_unbiased():
             continue
         seen.add(pair)
         r = BitString.from_bytes(pair[0].to_bytes(2, "little"), 11)
-        ones += prf_bit(key, oracle, r, pair[1], p)
+        ones += round_bit(key, oracle, r, pair[1], p)
     assert abs(ones / trials - 0.5) <= 4 * (0.25 / trials) ** 0.5
 
 
 @pytest.mark.parametrize("n_bits, rejecting", [(1001, True), (1 << 12, False)],
                          ids=["scripted-rejections-1001", "shake-4096"])
-def test_round_function_matches_prf_bit_on_both_key_kinds(
+def test_round_function_matches_staged_pair_on_both_key_kinds(
         tmp_path, n_bits, rejecting):
     p = CipherParams(n_bits=n_bits, msg_bits=9, num_probes=8, rounds=17)
     rng = random.Random(n_bits)
@@ -275,8 +283,8 @@ def test_round_function_matches_prf_bit_on_both_key_kinds(
                 rest = BitString.from_int(x, 8)
                 f, got = bit(oracle.stream_bytes,
                              encode_query(PROBE_TAG, r, 9, x))
-                assert f == prf_bit(key, oracle, rest, r, p)
                 draw = derive_probes(oracle, rest, r, p)
+                assert f == draw_bit(key, draw)
                 assert tuple(w % n_bits + 1 for w in got) == draw.probes
                 ones += f
             assert 0 < ones < len(inputs)
