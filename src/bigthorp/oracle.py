@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-import threading
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
@@ -75,19 +74,22 @@ class OracleQuery:
 
 
 class Oracle:
-    """Base class: stream dispatch plus a thread-safe distinct-query counter."""
+    """Base class: stream dispatch plus a distinct-query counter.
+
+    The counter needs no lock: in CPython, ``set.add`` of a ``bytes`` key and
+    ``len`` of a set are each one atomic operation.  With the GIL no Python
+    code runs inside them; free-threaded builds give each set its own lock.
+    """
 
     identifier = "abstract"
 
     def __init__(self):
         self._seen = set()
-        self._lock = threading.Lock()
 
     @property
     def query_count(self) -> int:
         """Number of distinct queries streamed so far."""
-        with self._lock:
-            return len(self._seen)
+        return len(self._seen)
 
     def stream(self, query: OracleQuery, n: int) -> bytes:
         return self.stream_bytes(query.to_bytes(), n)
@@ -96,8 +98,7 @@ class Oracle:
         """``stream`` for a query already serialized with ``to_bytes``."""
         if n < 0:
             raise ValueError("stream length must be nonnegative")
-        with self._lock:
-            self._seen.add(query_bytes)
+        self._seen.add(query_bytes)
         return self._stream(query_bytes, n)
 
     def _stream(self, query_bytes: bytes, n: int) -> bytes:

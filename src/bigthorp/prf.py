@@ -12,22 +12,16 @@ One round-function evaluation on round input R at round r proceeds as:
 4. The output bit is the XOR of the key bits at the selected probes; an
    empty selection gives 0.
 
-The stream is fetched in one initial request sized for the no-rejection
-case and extended in 512-byte steps when rejections run past it; because
-oracle streams are prefix-consistent this re-request changes nothing that
-was already decoded.  A run of 1000 consecutive rejections aborts, since
-for any N >= 1 the accept probability per word exceeds 1/2 and such a run
-indicates a broken oracle backend rather than bad luck.  Steps 1 to 3,
-with the request sizes, the extension and the cap, belong to one private
-decoder, ``_probe_decoder``; step 4 on the key's buffer belongs to one
-private round function over it, ``_round_function``, which ``encrypt`` and
-``decrypt`` call for every round bit.  ``verify.bias_estimate`` evaluates
-its queries in batches through ``_round_bits``, which decodes every row
-whose first k words are accepted at once with numpy and sends each other
-row back through ``_probe_decoder``; it returns the same bits and words
-as ``_round_function``.  numpy is imported only when a batch kernel is
-built.  The staged ``derive_probes``/``draw_bit`` pair reads the key
-through ``BigKey.subkey``.
+The stream is fetched in one request sized for the no-rejection case and
+extended in 512-byte steps when rejections run past it (oracle streams are
+prefix-consistent); 1000 consecutive rejections abort, since each word is
+accepted with probability above 1/2.  ``_probe_decoder`` owns steps 1 to 3
+with the extension and the cap.  ``encrypt`` and ``decrypt`` run every
+round of a block in the kernel ``_rounds``, which sends a round to the
+decoder only when a probe word is rejected; ``verify.bias_estimate`` does
+the same in batches through the numpy kernel ``_round_bits``, and numpy is
+imported only when that kernel is built.  The staged
+``derive_probes``/``draw_bit`` pair reads the key through ``BigKey.subkey``.
 """
 
 from __future__ import annotations
@@ -39,13 +33,14 @@ from typing import Tuple
 
 from .bigkey import BigKey
 from .bitstring import BitString
-from .oracle import PROBE_TAG, Oracle, OracleQuery
+from .oracle import _HEAD, PROBE_TAG, Oracle, OracleQuery
 
 REJECTION_CAP = 1000
 _WORD = 8
 _B = 1 << 64
 _EXTEND = 512
-_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+# mask byte -> its 8 selection bytes, least significant bit first
+_SELECT = [bytes((b >> j) & 1 for j in range(8)) for b in range(256)]
 
 
 def _rounds_for(msg_bits: int, passes: int) -> int:
@@ -113,22 +108,21 @@ def _probe_decoder(params: CipherParams):
 
     ``stream(query, n)`` gives the first n stream bytes for ``query``.
     ``words`` are the k accepted 64-bit probe words in draw order (probe j
-    is key bit ``words[j - 1] % N + 1``); bit j - 1 of the int ``mask``
-    selects probe j.
+    is key bit ``words[j - 1] % N + 1``); ``mask`` is the ceil(k / 8) mask
+    bytes, little-endian, whose bit j - 1 selects probe j.
     """
     k, n = params.num_probes, params.n_bits
     threshold = n * (_B // n)
     mask_bytes = (k + 7) // 8
     need = _WORD * k + mask_bytes
     unpack = struct.Struct(f">{k}Q").unpack_from
-    low_k = (1 << k) - 1
 
     def decode(stream, query):
         data = stream(query, need)
         words = unpack(data)
         # no word is ever rejected when N is a power of two
         if threshold == _B or max(words) < threshold:
-            return words, int.from_bytes(data[need - mask_bytes:], "little") & low_k
+            return words, data[need - mask_bytes:]
         words = []
         size = need
         pos = consecutive = 0
@@ -149,38 +143,50 @@ def _probe_decoder(params: CipherParams):
             words.append(word)
         if pos + mask_bytes > len(data):
             data = stream(query, pos + mask_bytes)
-        mask = int.from_bytes(data[pos : pos + mask_bytes], "little")
-        return words, mask & low_k
+        return words, data[pos : pos + mask_bytes]
 
     return decode
 
 
-def _round_function(params: CipherParams, key: BigKey):
-    """``bit(stream, query) -> (bit, words)``: the round function on a key.
+def _rounds(x: int, key: BigKey, oracle: Oracle, params: CipherParams,
+            forward: bool) -> int:
+    """All rounds on the state held as a big-endian int (bit 1 on top).
 
-    ``words`` are the decoder's probe words; word w selects key bit
-    w % N + 1.  Callers check once that the key has ``params.n_bits`` bits.
+    A round makes one ``oracle.stream_bytes`` request for the query
+    ``encode_query(PROBE_TAG, r, m, rest)``, unless a probe word is
+    rejected.  Callers check once that the state and key fit ``params``.
     """
-    decode = _probe_decoder(params)
-    n, buf = params.n_bits, key._buf
-    mask_digits = f"0{params.num_probes}b"
-
-    def bit(stream, query):
-        words, mask = decode(stream, query)
-        # binary digits of the mask run from probe k down to probe 1
-        selected = format(mask, mask_digits).encode().translate(_DIGITS)
+    m, k, n = params.msg_bits, params.num_probes, params.n_bits
+    buf, stream, head = key._buf, oracle.stream_bytes, _HEAD.pack
+    threshold = n * (_B // n)
+    rejects = threshold < _B  # no word is ever rejected when N is a power of two
+    mask_at = _WORD * k
+    need = mask_at + (k + 7) // 8
+    unpack = struct.Struct(f">{k}Q").unpack_from
+    rest_bytes, top = (m + 6) // 8, m - 1
+    low = (1 << top) - 1
+    order = range(1, params.rounds + 1) if forward else range(params.rounds, 0, -1)
+    for r in order:
+        rest = x & low if forward else x >> 1
+        query = head(PROBE_TAG, r, m) + rest.to_bytes(rest_bytes, "big")
+        data = stream(query, need)
+        words, mask = unpack(data), data[mask_at:]
+        if rejects and max(words) >= threshold:
+            words, mask = _probe_decoder(params)(stream, query)
+        selected = (_SELECT[mask[0]] if k <= 8
+                    else b"".join([_SELECT[b] for b in mask]))
         acc = 0
-        for word in compress(reversed(words), selected):
+        for word in compress(words, selected):
             p = word % n
             acc ^= buf[p >> 3] >> (p & 7)
-        return acc & 1, words
-
-    return bit
+        x = ((rest << 1) | ((x >> top) ^ acc) & 1 if forward
+             else ((x ^ acc) & 1) << top | rest)
+    return x
 
 
 def _round_bits(params: CipherParams, key: BigKey):
-    """``bits(stream, queries) -> (bits, words)``: ``_round_function`` over
-    a list of serialized queries, as numpy arrays of shape (B,) and (B, k).
+    """``bits(stream, queries) -> (bits, words)``: round bits and probe words
+    of serialized queries, as numpy arrays of shape (B,) and (B, k).
 
     Rows whose first k words are all accepted are decoded in one pass; any
     other row goes back through ``_probe_decoder``, which alone rejects,
@@ -189,11 +195,9 @@ def _round_bits(params: CipherParams, key: BigKey):
     """
     import numpy as np  # numpy stays out of ``import bigthorp``
 
-    decode = _probe_decoder(params)
     k, n = params.num_probes, params.n_bits
     threshold = n * (_B // n)
-    mask_bytes = (k + 7) // 8
-    need = _WORD * k + mask_bytes
+    need = _WORD * k + (k + 7) // 8
 
     def bits(stream, queries):
         data = b"".join(stream(q, need) for q in queries)
@@ -202,9 +206,9 @@ def _round_bits(params: CipherParams, key: BigKey):
         masks = rows[:, _WORD * k :].copy()
         if threshold < _B:
             for i in np.flatnonzero((words >= threshold).any(axis=1)):
-                row_words, mask = decode(stream, queries[i])
+                row_words, mask = _probe_decoder(params)(stream, queries[i])
                 words[i] = row_words
-                masks[i] = list(mask.to_bytes(mask_bytes, "little"))
+                masks[i] = list(mask)
         selected = np.unpackbits(masks, axis=1, count=k, bitorder="little")
         p = words % n
         key_bytes = np.frombuffer(key._buf, np.uint8)
@@ -226,9 +230,9 @@ def derive_probes(
         )
     query = OracleQuery(PROBE_TAG, round_index, params.msg_bits, r_bits)
     words, mask = _probe_decoder(params)(oracle.stream, query)
-    n = params.n_bits
-    return ProbeDraw(tuple(w % n + 1 for w in words),
-                     BitString._make(params.num_probes, mask))
+    n, k = params.n_bits, params.num_probes
+    low_k = int.from_bytes(mask, "little") & (1 << k) - 1
+    return ProbeDraw(tuple(w % n + 1 for w in words), BitString._make(k, low_k))
 
 
 def draw_bit(key: BigKey, draw: ProbeDraw) -> int:

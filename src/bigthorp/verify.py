@@ -27,8 +27,8 @@ The checks, stated over explicit tables:
   distinct (round input, round) queries, next to the exactly computed
   half-root-collision-mass bound averaged over the sampled draws.  The bit
   is the cipher's own: the estimate evaluates its queries in fixed-size
-  batches through ``prf._round_bits``, which gives the same bits and probe
-  words as the round function that ``encrypt``/``decrypt`` call.
+  batches through ``prf._round_bits``, which gives each query the bit that
+  a round of the kernel ``prf._rounds`` under ``encrypt`` would give.
 
 ``main_lemma_check`` and the conditioned ``bias_estimate`` share one
 batched collision-mass helper, ``_fiber_collision_mass``: it takes a
@@ -239,10 +239,34 @@ class MainLemmaResult:
     alpha: float
 
 
+def _last_ranks(positions: np.ndarray, n0: int) -> np.ndarray:
+    """(B, k) uint8: each probe position's rank among its row's last occurrences."""
+    k = positions.shape[1]
+    ids = np.arange(len(positions))[:, None]
+    last = np.empty((len(positions), n0), dtype=np.intp)
+    for j in range(k):
+        last[ids, positions[:, j : j + 1]] = j
+    at = last[ids, positions]  # where each probe's position last occurs
+    seen = np.cumsum(at == np.arange(k), axis=1, dtype=np.uint8)
+    return seen[ids, at] - 1
+
+
+@lru_cache(maxsize=16)
+def _probe_tuples(n0: int, k: int, start: int):
+    """Up to ``_BATCH`` rows from ``start`` of ``itertools.product(range(n0),
+    repeat=k)`` and their ``_last_ranks``, read-only: every fiber shares them."""
+    t = np.arange(start, min(start + _BATCH, n0**k))
+    positions = t[:, None] // n0 ** np.arange(k - 1, -1, -1) % n0
+    ranks = _last_ranks(positions, n0)
+    positions.flags.writeable = ranks.flags.writeable = False
+    return positions, ranks
+
+
 def _fiber_collision_mass(fiber: np.ndarray, n0: int):
-    """``mass(positions) -> (B,) float64``: for each row of the (B, k)
-    0-based probe positions, the sum of squared pattern probabilities of
-    the probed bits for a uniform element of ``fiber``.
+    """``mass(positions, ranks=None) -> (B,) float64``: for each row of the
+    (B, k) 0-based probe positions (with their ``_last_ranks``, if known),
+    the sum of squared pattern probabilities of the probed bits for a
+    uniform element of ``fiber``.
 
     A probe sets the bit of its position's rank among the row's last
     occurrences in that row's pattern index.  Equal positions carry equal
@@ -255,16 +279,9 @@ def _fiber_collision_mass(fiber: np.ndarray, n0: int):
     bits = (fiber[None, :] >> np.arange(n0)[:, None]) & 1
     rows_at_once = max(1, _MASS_CELLS // fiber.size)
 
-    def block(positions: np.ndarray) -> np.ndarray:
+    def block(positions: np.ndarray, shift: np.ndarray) -> np.ndarray:
         k = positions.shape[1]
         codes = bits.astype(np.min_scalar_type((1 << min(k, n0)) - 1))
-        ids = np.arange(len(positions))[:, None]
-        last = np.empty((len(positions), n0), dtype=np.intp)
-        for j in range(k):
-            last[ids, positions[:, j : j + 1]] = j
-        at = last[ids, positions]  # where each probe's position last occurs
-        seen = np.cumsum(at == np.arange(k), axis=1, dtype=codes.dtype)
-        shift = seen[ids, at] - 1  # rank among the row's last occurrences
         idx = np.zeros((len(positions), fiber.size), dtype=codes.dtype)
         for j in range(k):
             idx |= codes[positions[:, j]] << shift[:, j, None]
@@ -282,10 +299,11 @@ def _fiber_collision_mass(fiber: np.ndarray, n0: int):
             out[rows] = np.square(grouped / fiber.size).sum(axis=1)
         return out
 
-    def mass(positions) -> np.ndarray:
+    def mass(positions, ranks=None) -> np.ndarray:
         positions = np.asarray(positions, dtype=np.intp)
+        ranks = _last_ranks(positions, n0) if ranks is None else ranks
         return np.concatenate([
-            block(positions[i : i + rows_at_once])
+            block(positions[i : i + rows_at_once], ranks[i : i + rows_at_once])
             for i in range(0, len(positions), rows_at_once)
         ])
 
@@ -323,12 +341,9 @@ def main_lemma_check(lt: LeakageTable, leak_value: int, k: int) -> MainLemmaResu
     else:
         bound = math.nan
     mass = _fiber_collision_mass(fiber, n0)
-    # row t holds the t-th tuple of itertools.product(range(n0), repeat=k)
-    digits = n0 ** np.arange(k - 1, -1, -1)
     total = 0.0
     for start in range(0, n0**k, _BATCH):
-        t = np.arange(start, min(start + _BATCH, n0**k))
-        for g in mass(t[:, None] // digits % n0).tolist():
+        for g in mass(*_probe_tuples(n0, k, start)).tolist():
             total += g  # tuple order, as a per-tuple loop adds them
     expected_g = total / n0**k
     return MainLemmaResult(expected_g, bound, bound_valid, alpha)

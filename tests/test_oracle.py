@@ -1,6 +1,7 @@
 """Query serialization and oracle backend behavior."""
 
 import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -98,6 +99,24 @@ def test_query_count_thread_safe():
     with ThreadPoolExecutor(max_workers=8) as pool:
         list(pool.map(lambda query: o.stream(query, 16), queries * 8))
     assert o.query_count == 32
+
+
+def test_query_count_exact_under_fast_thread_switching():
+    # the counter has no lock: each set.add is one atomic step, so threads
+    # switching every microsecond over overlapping queries lose none
+    o = ScriptedOracle(default_script=b"")
+    queries = [q(round=r).to_bytes() for r in range(1, 2049)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            done = [pool.submit(lambda part: [o.stream_bytes(x, 1) for x in part],
+                                queries[i::8] + queries[:256]) for i in range(8)]
+            for future in done:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert o.query_count == len(queries)
 
 
 def test_scripted_pins_individual_queries():

@@ -4,6 +4,7 @@ import hashlib
 import random
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -16,14 +17,16 @@ from bigthorp import (
     ProbeDraw,
     ScriptedOracle,
     Shake256Oracle,
+    decrypt,
     derive_probes,
     draw_bit,
+    encrypt,
     round_backward,
     round_forward,
     seed_randomness,
 )
 from bigthorp.oracle import encode_query
-from bigthorp.prf import _round_bits, _round_function
+from bigthorp.prf import _probe_decoder, _round_bits
 
 
 def params_for(n_bits, msg_bits=5, num_probes=3, rounds=9):
@@ -42,10 +45,13 @@ def words(*values):
 
 
 def round_bit(key, oracle, r_bits, round_index, params):
-    """The round function's bit for a bit-string round input."""
-    bit = _round_function(params, key)
+    """The round bit for a bit-string round input: the staged pair, checked
+    against the batch kernel on the same query."""
+    bit = draw_bit(key, derive_probes(oracle, r_bits, round_index, params))
     query = encode_query(PROBE_TAG, round_index, params.msg_bits, r_bits.to_int())
-    return bit(oracle.stream_bytes, query)[0]
+    batch, _ = _round_bits(params, key)(oracle.stream_bytes, [query])
+    assert batch.tolist() == [bit]
+    return bit
 
 
 # -- CipherParams -----------------------------------------------------------
@@ -258,41 +264,102 @@ def test_prf_small_sample_unbiased():
     assert abs(ones / trials - 0.5) <= 4 * (0.25 / trials) ** 0.5
 
 
+# N = 1001 rejects every word at or above 1001 * floor(2^64 / 1001)
+_REJECT = b"\xff" * 8
+
+
+def _rejecting_scripts(m, k, rounds):
+    """Streams for every query of an m-bit cipher, in four kinds by
+    (round, input): the first word rejected, a middle word rejected, ten
+    words rejected so that the stream is extended past its first request,
+    or no script (a seeded stream that never rejects in practice)."""
+    scripts = {}
+    for r in range(1, rounds + 1):
+        for x in range(1 << (m - 1)):
+            q = encode_query(PROBE_TAG, r, m, x)
+            tail = hashlib.shake_256(q).digest(8 * k + 8)
+            kind = (r + x) % 4
+            if kind == 0:
+                scripts[q] = _REJECT + tail
+            elif kind == 1:
+                scripts[q] = tail[: 8 * (k // 2)] + _REJECT + tail[8 * (k // 2):]
+            elif kind == 2:
+                scripts[q] = _REJECT * 10 + tail
+    return scripts
+
+
 @pytest.mark.parametrize("n_bits, rejecting", [(1001, True), (1 << 12, False)],
                          ids=["scripted-rejections-1001", "shake-4096"])
 def test_round_function_matches_staged_pair_on_both_key_kinds(
         tmp_path, n_bits, rejecting):
-    p = CipherParams(n_bits=n_bits, msg_bits=9, num_probes=8, rounds=17)
-    rng = random.Random(n_bits)
-    inputs = [(rng.randrange(1, 18), rng.getrandbits(8)) for _ in range(64)]
+    # encrypt under the first t rounds equals t staged round_forward steps,
+    # and decrypt equals the round_backward chain, on held and mapped keys
+    m, k, rounds = 9, 8, 17
+    p = CipherParams(n_bits=n_bits, msg_bits=m, num_probes=k, rounds=rounds)
     if rejecting:
-        # N = 1001 rejects the all-ones word: every stream leads with two
-        oracle = ScriptedOracle(scripts={
-            q: b"\xff" * 16 + hashlib.shake_256(q).digest(8 * 8 + 1)
-            for q in (encode_query(PROBE_TAG, r, 9, x) for r, x in inputs)})
+        oracle = ScriptedOracle(scripts=_rejecting_scripts(m, k, rounds), seed=9)
     else:
         oracle = Shake256Oracle()
     held = BigKey.generate(n_bits, seed_randomness((n_bits + 7) // 8, n_bits))
     path = tmp_path / "round.key"
     held.save(path)
+    rng = random.Random(n_bits)
+    messages = [BitString.from_int(rng.getrandbits(m), m) for _ in range(16)]
     with BigKey.load(path) as mapped:
         for key in (held, mapped):
-            bit = _round_function(p, key)
             ones = 0
-            for r, x in inputs:
-                rest = BitString.from_int(x, 8)
-                f, got = bit(oracle.stream_bytes,
-                             encode_query(PROBE_TAG, r, 9, x))
-                draw = derive_probes(oracle, rest, r, p)
-                assert f == draw_bit(key, draw)
-                assert tuple(w % n_bits + 1 for w in got) == draw.probes
-                ones += f
-            assert 0 < ones < len(inputs)
+            for msg in messages:
+                state = msg
+                for t in range(1, rounds + 1):
+                    after = round_forward(state, t, key, oracle, p)
+                    ones += state.split_lr()[0] ^ after.split_last()[1]
+                    state = after
+                    assert encrypt(msg, key, oracle, replace(p, rounds=t)) == state
+                cipher = state
+                for t in range(rounds, 0, -1):
+                    state = round_backward(state, t, key, oracle, p)
+                assert state == msg
+                assert decrypt(cipher, key, oracle, p) == msg
+            assert 0 < ones < rounds * len(messages)
 
 
-# N = 1001 rejects every word at or above 1001 * floor(2^64 / 1001), so a
-# stream that leads with two all-ones words is decoded only after extension
-_REJECTING_HEAD = b"\xff" * 16
+class RecordingOracle(Shake256Oracle):
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def stream_bytes(self, query_bytes, n):
+        self.calls.append((query_bytes, n))
+        return super().stream_bytes(query_bytes, n)
+
+
+@pytest.mark.parametrize("m, k", [(2, 1), (9, 8), (16, 13), (17, 5), (64, 64)])
+def test_cipher_queries_match_encode_query(m, k):
+    # N is a power of two, so no word is rejected: one request per round,
+    # for the serialized query of (round, round input) and the k probe
+    # words plus the mask bytes
+    n_bits = 1 << 12
+    p = CipherParams.from_passes(n_bits, m, k, 1)
+    key = BigKey.generate(n_bits, seed_randomness(n_bits // 8, m))
+    need = 8 * k + (k + 7) // 8
+    msg = BitString.from_int(random.Random(m).getrandbits(m), m)
+    staged = Shake256Oracle()
+    for forward in (True, False):
+        oracle = RecordingOracle()
+        cipher = (encrypt if forward else decrypt)(msg, key, oracle, p)
+        order = range(1, p.rounds + 1) if forward else range(p.rounds, 0, -1)
+        step = round_forward if forward else round_backward
+        want, state = [], msg
+        for r in order:
+            rest = state.split_lr()[1] if forward else state.split_last()[0]
+            want.append((encode_query(PROBE_TAG, r, m, rest.to_int()), need))
+            state = step(state, r, key, staged, p)
+        assert oracle.calls == want
+        assert cipher == state
+
+
+# a stream that leads with two rejected words is decoded only after extension
+_REJECTING_HEAD = _REJECT * 2
 
 
 def _batch_oracle(kind, queries, k):
@@ -314,24 +381,37 @@ def _batch_oracle(kind, queries, k):
 def test_round_bits_match_round_function(tmp_path, n_bits, kind, k):
     p = CipherParams(n_bits=n_bits, msg_bits=16, num_probes=k, rounds=31)
     rng = random.Random(n_bits + k)
-    queries = [encode_query(PROBE_TAG, rng.randrange(1, 1 << 16), 16,
-                            rng.getrandbits(15)) for _ in range(48)]
+    inputs = [(rng.randrange(1, 1 << 16), rng.getrandbits(15)) for _ in range(48)]
+    queries = [encode_query(PROBE_TAG, r, 16, x) for r, x in inputs]
     oracle = _batch_oracle(kind, queries, k)
     held = BigKey.generate(n_bits, seed_randomness((n_bits + 7) // 8, k))
     path = tmp_path / "batch.key"
     held.save(path)
     with BigKey.load(path) as mapped:
         for key in (held, mapped):
-            batch, bit = _round_bits(p, key), _round_function(p, key)
-            bits, got = batch(oracle.stream_bytes, queries)
+            bits, got = _round_bits(p, key)(oracle.stream_bytes, queries)
             assert got.shape == (len(queries), k)
-            for q, f, row in zip(queries, bits.tolist(), got.tolist()):
-                want_bit, want_words = bit(oracle.stream_bytes, q)
-                assert (f, row) == (want_bit, list(want_words))
+            decode = _probe_decoder(p)
+            for (r, x), q, f, row in zip(inputs, queries, bits.tolist(),
+                                         got.tolist()):
+                draw = derive_probes(oracle, BitString.from_int(x, 15), r, p)
+                assert f == draw_bit(key, draw)
+                assert tuple(w % n_bits + 1 for w in row) == draw.probes
+                assert row == list(decode(oracle.stream_bytes, q)[0])
         # neither the kernel nor its output keeps a view of the mapping
         mapped.close()
 
 
 def test_import_leaves_numpy_unloaded():
-    code = "import sys, bigthorp; assert 'numpy' not in sys.modules"
+    # importing the package and running the cipher both stay numpy-free
+    code = (
+        "import sys, bigthorp as bt\n"
+        "assert 'numpy' not in sys.modules\n"
+        "key = bt.BigKey.generate(1001, bt.seed_randomness(126, 1))\n"
+        "p = bt.CipherParams.from_passes(1001, 9, 8, 1)\n"
+        "o = bt.Shake256Oracle()\n"
+        "msg = bt.BitString.from_int(300, 9)\n"
+        "assert bt.decrypt(bt.encrypt(msg, key, o, p), key, o, p) == msg\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
