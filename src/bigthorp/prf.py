@@ -6,9 +6,11 @@ One round-function evaluation on round input R at round r proceeds as:
 2. Decode k probe positions in 1..N from consecutive 8-byte big-endian
    words by rejection sampling (reject u >= N * floor(2^64 / N), else
    take (u mod N) + 1), so every position is exactly equally likely.
-   Rejected words are skipped; probes are drawn with replacement.
+   Rejected words are skipped; probes are drawn with replacement.  When N
+   is a power of two no word is rejected, and u mod N is u & (N - 1).
 3. Decode a k-bit subset mask from the next ceil(k / 8) stream bytes
-   under the packing convention (mask bit j selects probe j).
+   under the packing convention (mask bit j selects probe j).  Only the
+   selected probes' words need decoding.
 4. The output bit is the XOR of the key bits at the selected probes; an
    empty selection gives 0.
 
@@ -17,18 +19,24 @@ extended in 512-byte steps when rejections run past it (oracle streams are
 prefix-consistent); 1000 consecutive rejections abort, since each word is
 accepted with probability above 1/2.  ``_probe_decoder`` owns steps 1 to 3
 with the extension and the cap.  ``encrypt`` and ``decrypt`` run every
-round of a block in the kernel ``_rounds``, which sends a round to the
-decoder only when a probe word is rejected; ``verify.bias_estimate`` does
-the same in batches through the numpy kernel ``_round_bits``, and numpy is
-imported only when that kernel is built.  The staged
-``derive_probes``/``draw_bit`` pair reads the key through ``BigKey.subkey``.
+round of a block in the kernel ``_rounds``.  It tests for a rejected word
+on the words' top bytes first, and unpacks all k words only when one of
+them reaches the threshold's top byte; only a round with a rejected word
+goes to the decoder, whose words are packed back into the stream layout.
+Each mask byte then picks, through a cached table of ``struct`` unpackers
+(``_picks``), just the selected words of its group of eight, which are
+reduced by mask when N is a power of two and by ``%`` otherwise.
+``verify.bias_estimate`` does the same in batches through the numpy kernel
+``_round_bits``, and numpy is imported only when that kernel is built.
+The staged ``derive_probes``/``draw_bit`` pair reads the key through
+``BigKey.subkey``.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from itertools import compress
+from functools import cache
 from typing import Tuple
 
 from .bigkey import BigKey
@@ -39,8 +47,6 @@ REJECTION_CAP = 1000
 _WORD = 8
 _B = 1 << 64
 _EXTEND = 512
-# mask byte -> its 8 selection bytes, least significant bit first
-_SELECT = [bytes((b >> j) & 1 for j in range(8)) for b in range(256)]
 
 
 def _rounds_for(msg_bits: int, passes: int) -> int:
@@ -148,6 +154,16 @@ def _probe_decoder(params: CipherParams):
     return decode
 
 
+@cache
+def _picks(width: int):
+    """Per mask byte b, ``unpack_from(data, offset)`` of a group of ``width``
+    probe words at ``offset`` that yields only the words whose bit of b is
+    set, in draw order; bits of b at or above ``width`` are ignored."""
+    return tuple(struct.Struct(">" + "".join("Q" if b >> j & 1 else "8x"
+                                             for j in range(width))).unpack_from
+                 for b in range(256))
+
+
 def _rounds(x: int, key: BigKey, oracle: Oracle, params: CipherParams,
             forward: bool) -> int:
     """All rounds on the state held as a big-endian int (bit 1 on top).
@@ -159,10 +175,14 @@ def _rounds(x: int, key: BigKey, oracle: Oracle, params: CipherParams,
     m, k, n = params.msg_bits, params.num_probes, params.n_bits
     buf, stream, head = key._buf, oracle.stream_bytes, _HEAD.pack
     threshold = n * (_B // n)
-    rejects = threshold < _B  # no word is ever rejected when N is a power of two
+    pow2, low_n = threshold == _B, n - 1  # N is a power of two: nothing rejects
+    top_byte = threshold >> 56  # a rejected word's top byte is at least this
     mask_at = _WORD * k
     need = mask_at + (k + 7) // 8
-    unpack = struct.Struct(f">{k}Q").unpack_from
+    # (unpackers, offset of the first word, index of the mask byte) per group
+    groups = [(_picks(min(8, k - 8 * g)), _WORD * 8 * g, mask_at + g)
+              for g in range(need - mask_at)]
+    whole = decode = None
     rest_bytes, top = (m + 6) // 8, m - 1
     low = (1 << top) - 1
     order = range(1, params.rounds + 1) if forward else range(params.rounds, 0, -1)
@@ -170,15 +190,23 @@ def _rounds(x: int, key: BigKey, oracle: Oracle, params: CipherParams,
         rest = x & low if forward else x >> 1
         query = head(PROBE_TAG, r, m) + rest.to_bytes(rest_bytes, "big")
         data = stream(query, need)
-        words, mask = unpack(data), data[mask_at:]
-        if rejects and max(words) >= threshold:
-            words, mask = _probe_decoder(params)(stream, query)
-        selected = (_SELECT[mask[0]] if k <= 8
-                    else b"".join([_SELECT[b] for b in mask]))
         acc = 0
-        for word in compress(words, selected):
-            p = word % n
-            acc ^= buf[p >> 3] >> (p & 7)
+        if pow2:
+            for picks, at, b in groups:
+                for word in picks[data[b]](data, at):
+                    p = word & low_n
+                    acc ^= buf[p >> 3] >> (p & 7)
+        else:
+            if max(data[0:mask_at:_WORD]) >= top_byte:
+                whole = whole or struct.Struct(f">{k}Q")
+                if max(whole.unpack_from(data)) >= threshold:
+                    decode = decode or _probe_decoder(params)
+                    words, mask = decode(stream, query)
+                    data = whole.pack(*words) + mask
+            for picks, at, b in groups:
+                for word in picks[data[b]](data, at):
+                    p = word % n
+                    acc ^= buf[p >> 3] >> (p & 7)
         x = ((rest << 1) | ((x >> top) ^ acc) & 1 if forward
              else ((x ^ acc) & 1) << top | rest)
     return x

@@ -15,6 +15,7 @@ from bigthorp import (
     BigKey,
     BitString,
     CipherParams,
+    Oracle,
     ScriptedOracle,
     Shake256Oracle,
     decrypt,
@@ -181,3 +182,47 @@ def test_scripted_rejections_match_golden_vectors():
                           rounds=rounds)
     check_vectors(BigKey.generate(n_bits, data), ScriptedOracle(bodies),
                   params, vectors)
+
+
+def rejecting_stream(query, n):
+    """SHAKE-256 with every word whose first byte is below 64 (about a
+    quarter of them) replaced by all ones, which every N that is not a power
+    of two rejects.  Each word depends only on its own bytes, so the stream
+    stays prefix-consistent."""
+    size = -(-n // 8) * 8
+    data = bytearray(hashlib.shake_256(b"golden sweep " + query).digest(size))
+    for pos in range(0, size, 8):
+        if data[pos] < 64:
+            data[pos:pos + 8] = b"\xff" * 8
+    return bytes(data[:n])
+
+
+class RejectingOracle(Oracle):
+    def _stream(self, query_bytes, n):
+        return rejecting_stream(query_bytes, n)
+
+
+SWEEP_K = (*range(1, 18), 63, 64, 65)
+
+
+@pytest.mark.parametrize("n_bits", [1 << 12, 1001, 10**6 + 3])
+def test_kernel_matches_reference_at_every_group_width(tmp_path, n_bits):
+    # every tail width k % 8, with and without full groups of 8 words, on
+    # held and mapped keys; the streams reject words unless N is 2^12
+    m = 7
+    data = key_bytes(n_bits, "sweep")
+    path = tmp_path / "sweep.key"
+    BigKey.generate(n_bits, data).save(path)
+    oracle = RejectingOracle()
+    with BigKey.load(path) as mapped:
+        keys = (BigKey.generate(n_bits, data), mapped)
+        for k in SWEEP_K:
+            params = CipherParams.from_passes(n_bits, m, k, 1)
+            for plain in (0, 0x55, 1 << m - 1 | k):
+                want = ref_encrypt(rejecting_stream, data, n_bits, m, k,
+                                   params.rounds, plain)
+                msg = BitString.from_int(plain, m)
+                for key in keys:
+                    ct = encrypt(msg, key, oracle, params)
+                    assert ct.to_int() == want
+                    assert decrypt(ct, key, oracle, params) == msg

@@ -25,6 +25,7 @@ from bigthorp import (
     round_forward,
     seed_randomness,
 )
+from bigthorp import prf
 from bigthorp.oracle import encode_query
 from bigthorp.prf import _probe_decoder, _round_bits
 
@@ -321,6 +322,83 @@ def test_round_function_matches_staged_pair_on_both_key_kinds(
                 assert state == msg
                 assert decrypt(cipher, key, oracle, p) == msg
             assert 0 < ones < rounds * len(messages)
+
+
+def _boundary_scripts(n_bits, m, k, rounds):
+    """Streams for every query of an m-bit cipher, in four kinds by
+    (round, input): a word equal to threshold - 1, whose top byte 0xFF
+    passes the kernel's top-byte test but which is accepted; a word equal to
+    the threshold, which is rejected; both; or neither.  The last mask byte
+    has its bits above k set."""
+    threshold = n_bits * (2**64 // n_bits)
+    assert (threshold - 1) >> 56 == 0xFF
+    scripts = {}
+    for r in range(1, rounds + 1):
+        for x in range(1 << (m - 1)):
+            q = encode_query(PROBE_TAG, r, m, x)
+            rng = random.Random(q)
+            accepted = [rng.randrange(threshold) for _ in range(k)]
+            kind = (r + x) % 4
+            if kind & 1:
+                accepted[rng.randrange(k)] = threshold - 1
+            if kind & 2:
+                accepted.insert(rng.randrange(k + 1), threshold)
+            mask = bytearray(rng.randbytes((k + 7) // 8))
+            mask[-1] |= 0xFF << k % 8 & 0xFF
+            scripts[q] = words(*accepted) + bytes(mask)
+    return scripts
+
+
+@pytest.mark.parametrize("k", [5, 13])
+def test_kernel_rejection_test_at_the_threshold(k):
+    # encrypt and decrypt under the first t rounds equal t staged steps
+    m, n_bits, rounds = 6, 1001, 11
+    p = CipherParams(n_bits=n_bits, msg_bits=m, num_probes=k, rounds=rounds)
+    oracle = ScriptedOracle(scripts=_boundary_scripts(n_bits, m, k, rounds))
+    key = BigKey.generate(n_bits, seed_randomness((n_bits + 7) // 8, k))
+    for x in range(1 << m):
+        msg = state = BitString.from_int(x, m)
+        for t in range(1, rounds + 1):
+            state = round_forward(state, t, key, oracle, p)
+            part = replace(p, rounds=t)
+            assert encrypt(msg, key, oracle, part) == state
+            assert decrypt(state, key, oracle, part) == msg
+        for t in range(rounds, 0, -1):
+            state = round_backward(state, t, key, oracle, p)
+        assert state == msg
+
+
+def test_kernel_builds_the_decoder_once_per_call(monkeypatch):
+    built = []
+
+    def counting(params):
+        built.append(params)
+        return _probe_decoder(params)
+
+    monkeypatch.setattr(prf, "_probe_decoder", counting)
+    # every round's stream leads with a word that N = 1001 rejects
+    oracle = ScriptedOracle(default_script=_REJECT
+                            + hashlib.shake_256(b"once").digest(80))
+    p = CipherParams.from_passes(1001, 9, 8, 1)
+    key = BigKey.generate(1001, seed_randomness(126, 1))
+    msg = BitString.from_int(300, 9)
+    cipher = encrypt(msg, key, oracle, p)
+    assert len(built) == 1
+    assert decrypt(cipher, key, oracle, p) == msg
+    assert len(built) == 2
+
+
+def test_pick_tables_are_built_on_first_use():
+    code = (
+        "import bigthorp as bt\n"
+        "from bigthorp.prf import _picks\n"
+        "assert _picks.cache_info().currsize == 0\n"
+        "key = bt.BigKey.generate(1001, bt.seed_randomness(126, 1))\n"
+        "p = bt.CipherParams.from_passes(1001, 9, 13, 1)\n"
+        "bt.encrypt(bt.BitString.from_int(300, 9), key, bt.Shake256Oracle(), p)\n"
+        "assert _picks.cache_info().currsize == 2\n"  # widths 8 and 5
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
 
 
 class RecordingOracle(Shake256Oracle):
