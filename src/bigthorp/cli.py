@@ -84,14 +84,16 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--key", default=os.environ.get(_ENV_KEY),
                        metavar="PATH",
                        help=f"key file (default: ${_ENV_KEY})")
-        p.add_argument("--bits", type=_number(int, 2), required=True,
-                       metavar="M", help="message width in bits (at least 2)")
+        p.add_argument("--bits", type=_number(int, 2, high=2**16 - 1),
+                       required=True, metavar="M",
+                       help="message width in bits (2 to 65535)")
         p.add_argument("--probes", type=_number(int, 1), required=True,
                        metavar="K", help="key probes per round-function call")
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--passes", type=_number(int, 1), metavar="S",
                            help="pass count; rounds = S * (2M - 1)")
-        group.add_argument("--rounds", type=_number(int, 0), metavar="T",
+        group.add_argument("--rounds", type=_number(int, 0, high=2**64 - 1),
+                           metavar="T",
                            help="explicit round count (overrides the "
                            "derived form the advantage bound assumes)")
         p.add_argument("--in", dest="message", required=True, metavar="HEX",

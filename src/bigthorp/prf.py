@@ -14,22 +14,22 @@ One round-function evaluation on round input R at round r proceeds as:
 4. The output bit is the XOR of the key bits at the selected probes; an
    empty selection gives 0.
 
-The stream is fetched in one request sized for the no-rejection case and
-extended in 512-byte steps when rejections run past it (oracle streams are
-prefix-consistent); 1000 consecutive rejections abort, since each word is
-accepted with probability above 1/2.  ``_probe_decoder`` owns steps 1 to 3
-with the extension and the cap.  ``encrypt`` and ``decrypt`` run every
-round of a block in the kernel ``_rounds``.  It tests for a rejected word
-on the words' top bytes first, and unpacks all k words only when one of
-them reaches the threshold's top byte; only a round with a rejected word
-goes to the decoder, whose words are packed back into the stream layout.
-Each mask byte then picks, through a cached table of ``struct`` unpackers
-(``_picks``), just the selected words of its group of eight, which are
-reduced by mask when N is a power of two and by ``%`` otherwise.
+The stream is fetched in one request sized for the no-rejection case.
+``_accept`` is the one rejection sampler: given that first response, it
+returns it unchanged when no word is rejected, and otherwise reads on,
+extending the stream in 512-byte steps (oracle streams are
+prefix-consistent), and returns the same no-rejection layout of k accepted
+words and the mask bytes after them.  1000 consecutive rejections abort,
+since each word is accepted with probability above 1/2.  ``encrypt`` and
+``decrypt`` run every round of a block in the kernel ``_rounds``.  It calls
+``_accept`` only when one of the words' top bytes reaches the threshold's
+top byte.  Each mask byte then picks, through a cached table of ``struct``
+unpackers (``_picks``), just the selected words of its group of eight,
+which are reduced by mask when N is a power of two and by ``%`` otherwise.
 ``verify.bias_estimate`` does the same in batches through the numpy kernel
-``_round_bits``, and numpy is imported only when that kernel is built.
-The staged ``derive_probes``/``draw_bit`` pair reads the key through
-``BigKey.subkey``.
+``_round_bits``, which fixes rejected rows in place, and numpy is imported
+only when that kernel runs.  The staged ``derive_probes``/``draw_bit`` pair
+reads the key through ``BigKey.subkey``.
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ class CipherParams:
             raise ValueError(f"msg_bits {self.msg_bits} out of range 2..65535")
         if self.num_probes < 1:
             raise ValueError("num_probes must be at least 1")
-        if self.rounds < 0:
-            raise ValueError("rounds must be nonnegative")
+        if not 0 <= self.rounds <= _B - 1:  # the query's 8-byte round field
+            raise ValueError(f"rounds {self.rounds} out of range 0..2^64 - 1")
 
     @classmethod
     def from_passes(
@@ -109,49 +109,38 @@ class ProbeDraw:
             )
 
 
-def _probe_decoder(params: CipherParams):
-    """``decode(stream, query) -> (words, mask)`` for one cipher shape.
+def _accept(stream, query, data: bytes, k: int, threshold: int) -> bytes:
+    """The round's probe stream in its no-rejection layout: the k accepted
+    words as 8-byte big-endian values, then the ceil(k / 8) mask bytes that
+    follow the last word read (probe j is key bit ``words[j - 1] % N + 1``;
+    mask bit j - 1, little-endian, selects it).
 
-    ``stream(query, n)`` gives the first n stream bytes for ``query``.
-    ``words`` are the k accepted 64-bit probe words in draw order (probe j
-    is key bit ``words[j - 1] % N + 1``); ``mask`` is the ceil(k / 8) mask
-    bytes, little-endian, whose bit j - 1 selects probe j.
+    ``data`` is the first 8k + ceil(k / 8) bytes of ``stream(query, n)``, and
+    comes back unchanged when none of its k words reaches ``threshold``.
+    Otherwise the stream is read on, extended in 512-byte steps.
     """
-    k, n = params.num_probes, params.n_bits
-    threshold = n * (_B // n)
-    mask_bytes = (k + 7) // 8
-    need = _WORD * k + mask_bytes
-    unpack = struct.Struct(f">{k}Q").unpack_from
-
-    def decode(stream, query):
-        data = stream(query, need)
-        words = unpack(data)
-        # no word is ever rejected when N is a power of two
-        if threshold == _B or max(words) < threshold:
-            return words, data[need - mask_bytes:]
-        words = []
-        size = need
-        pos = consecutive = 0
-        while len(words) < k:
-            if pos + _WORD > len(data):
-                size += _EXTEND
-                data = stream(query, size)
-            word = int.from_bytes(data[pos : pos + _WORD], "big")
-            pos += _WORD
-            if word >= threshold:
-                consecutive += 1
-                if consecutive >= REJECTION_CAP:
-                    raise RuntimeError(
-                        f"{REJECTION_CAP} consecutive rejections while sampling "
-                        "probes; oracle backend is not producing uniform bytes")
-                continue
-            consecutive = 0
-            words.append(word)
-        if pos + mask_bytes > len(data):
-            data = stream(query, pos + mask_bytes)
-        return words, data[pos : pos + mask_bytes]
-
-    return decode
+    if max(struct.unpack_from(f">{k}Q", data)) < threshold:
+        return data
+    accepted = []
+    pos = consecutive = 0
+    while len(accepted) < k:
+        if pos + _WORD > len(data):
+            data = stream(query, len(data) + _EXTEND)
+        word = data[pos : pos + _WORD]
+        pos += _WORD
+        if int.from_bytes(word, "big") >= threshold:
+            consecutive += 1
+            if consecutive >= REJECTION_CAP:
+                raise RuntimeError(
+                    f"{REJECTION_CAP} consecutive rejections while sampling "
+                    "probes; oracle backend is not producing uniform bytes")
+            continue
+        consecutive = 0
+        accepted.append(word)
+    mask_end = pos + (k + 7) // 8
+    if mask_end > len(data):
+        data = stream(query, mask_end)
+    return b"".join(accepted) + data[pos:mask_end]
 
 
 @cache
@@ -182,7 +171,6 @@ def _rounds(x: int, key: BigKey, oracle: Oracle, params: CipherParams,
     # (unpackers, offset of the first word, index of the mask byte) per group
     groups = [(_picks(min(8, k - 8 * g)), _WORD * 8 * g, mask_at + g)
               for g in range(need - mask_at)]
-    whole = decode = None
     rest_bytes, top = (m + 6) // 8, m - 1
     low = (1 << top) - 1
     order = range(1, params.rounds + 1) if forward else range(params.rounds, 0, -1)
@@ -198,11 +186,7 @@ def _rounds(x: int, key: BigKey, oracle: Oracle, params: CipherParams,
                     acc ^= buf[p >> 3] >> (p & 7)
         else:
             if max(data[0:mask_at:_WORD]) >= top_byte:
-                whole = whole or struct.Struct(f">{k}Q")
-                if max(whole.unpack_from(data)) >= threshold:
-                    decode = decode or _probe_decoder(params)
-                    words, mask = decode(stream, query)
-                    data = whole.pack(*words) + mask
+                data = _accept(stream, query, data, k, threshold)
             for picks, at, b in groups:
                 for word in picks[data[b]](data, at):
                     p = word % n
@@ -212,38 +196,35 @@ def _rounds(x: int, key: BigKey, oracle: Oracle, params: CipherParams,
     return x
 
 
-def _round_bits(params: CipherParams, key: BigKey):
-    """``bits(stream, queries) -> (bits, words)``: round bits and probe words
-    of serialized queries, as numpy arrays of shape (B,) and (B, k).
+def _round_bits(params: CipherParams, key: BigKey, stream, queries):
+    """Round bits and probe words of serialized queries, as numpy arrays of
+    shape (B,) and (B, k).
 
-    Rows whose first k words are all accepted are decoded in one pass; any
-    other row goes back through ``_probe_decoder``, which alone rejects,
-    extends and caps.  The key's buffer is viewed only inside each call, so
-    a mapped key can be closed after it.
+    All rows are fetched at once; a row with a rejected word is replaced in
+    place by its ``_accept`` layout.  The key's buffer is viewed only inside
+    the call, so a mapped key can be closed after it.
     """
     import numpy as np  # numpy stays out of ``import bigthorp``
 
     k, n = params.num_probes, params.n_bits
     threshold = n * (_B // n)
-    need = _WORD * k + (k + 7) // 8
-
-    def bits(stream, queries):
-        data = b"".join(stream(q, need) for q in queries)
-        rows = np.frombuffer(data, np.uint8).reshape(len(queries), need)
-        words = rows[:, : _WORD * k].view(">u8").astype(np.uint64)
-        masks = rows[:, _WORD * k :].copy()
-        if threshold < _B:
-            for i in np.flatnonzero((words >= threshold).any(axis=1)):
-                row_words, mask = _probe_decoder(params)(stream, queries[i])
-                words[i] = row_words
-                masks[i] = list(mask)
-        selected = np.unpackbits(masks, axis=1, count=k, bitorder="little")
-        p = words % n
-        key_bytes = np.frombuffer(key._buf, np.uint8)
-        probed = key_bytes[p >> 3] >> (p & 7).astype(np.uint8) & selected
-        return np.bitwise_xor.reduce(probed, axis=1), words
-
-    return bits
+    mask_at = _WORD * k
+    need = mask_at + (k + 7) // 8
+    data = bytearray(b"".join(stream(q, need) for q in queries))
+    rows = np.frombuffer(data, np.uint8).reshape(len(queries), need)
+    if threshold < _B:
+        for i in np.flatnonzero((rows[:, :mask_at].view(">u8") >= threshold)
+                                .any(axis=1)):
+            rows[i] = np.frombuffer(
+                _accept(stream, queries[i], rows[i].tobytes(), k, threshold),
+                np.uint8)
+    words = rows[:, :mask_at].view(">u8").astype(np.uint64)
+    selected = np.unpackbits(rows[:, mask_at:], axis=1, count=k,
+                             bitorder="little")
+    p = words % n
+    key_bytes = np.frombuffer(key._buf, np.uint8)
+    probed = key_bytes[p >> 3] >> (p & 7).astype(np.uint8) & selected
+    return np.bitwise_xor.reduce(probed, axis=1), words
 
 
 def derive_probes(
@@ -257,9 +238,12 @@ def derive_probes(
             f"round input has {len(r_bits)} bits, expected {params.msg_bits - 1}"
         )
     query = OracleQuery(PROBE_TAG, round_index, params.msg_bits, r_bits)
-    words, mask = _probe_decoder(params)(oracle.stream, query)
     n, k = params.n_bits, params.num_probes
-    low_k = int.from_bytes(mask, "little") & (1 << k) - 1
+    mask_at = _WORD * k
+    data = _accept(oracle.stream, query,
+                   oracle.stream(query, mask_at + (k + 7) // 8), k, n * (_B // n))
+    low_k = int.from_bytes(data[mask_at:], "little") & (1 << k) - 1
+    words = struct.unpack_from(f">{k}Q", data)
     return ProbeDraw(tuple(w % n + 1 for w in words), BitString._make(k, low_k))
 
 

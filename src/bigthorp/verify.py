@@ -416,7 +416,6 @@ def bias_estimate(
     max_round = 1 << 16
     if (1 << (m - 1)) * (max_round - 1) < 2 * trials:
         raise ValueError("message width too small for this many distinct queries")
-    bits = _round_bits(params, key)
     stream, n = oracle.stream_bytes, key.n_bits
     rng = random.Random(seed)
     seen = set()
@@ -433,7 +432,7 @@ def bias_estimate(
             # r_value fills the round input from bit 1 up: bit 1 is its low bit
             queries.append(encode_query(PROBE_TAG, round_index, m,
                                         _reverse_bits(r_value, m - 1)))
-        f, words = bits(stream, queries)
+        f, words = _round_bits(params, key, stream, queries)
         ones += int(f.sum())
         for term in (0.5 * np.sqrt(mass(words % n))).tolist():
             bound_acc += term  # trial order, as a per-query loop adds them

@@ -135,6 +135,11 @@ def test_usage_errors_exit_one(key_path, tmp_path, monkeypatch):
          "--passes", "0", "--in", "00"],
         ["encrypt", "--key", dummy, "--bits", "16", "--probes", "8",
          "--rounds", "-1", "--in", "00"],
+        # the round index and the width fill the query's 8- and 2-byte fields
+        ["decrypt", "--key", dummy, "--bits", "9", "--probes", "8",
+         "--rounds", str(2**64), "--in", "0a"],
+        ["encrypt", "--key", dummy, "--bits", "70000", "--probes", "8",
+         "--passes", "1", "--in", "00"],
         ["encrypt", "--bits", "16", "--probes", "8", "--passes", "1",
          "--in", "00"],  # no --key and no env fallback
         ["keygen", "--bits", "4", "--out", dummy],

@@ -25,9 +25,8 @@ from bigthorp import (
     round_forward,
     seed_randomness,
 )
-from bigthorp import prf
 from bigthorp.oracle import encode_query
-from bigthorp.prf import _probe_decoder, _round_bits
+from bigthorp.prf import _accept, _round_bits
 
 
 def params_for(n_bits, msg_bits=5, num_probes=3, rounds=9):
@@ -50,7 +49,7 @@ def round_bit(key, oracle, r_bits, round_index, params):
     against the batch kernel on the same query."""
     bit = draw_bit(key, derive_probes(oracle, r_bits, round_index, params))
     query = encode_query(PROBE_TAG, round_index, params.msg_bits, r_bits.to_int())
-    batch, _ = _round_bits(params, key)(oracle.stream_bytes, [query])
+    batch, _ = _round_bits(params, key, oracle.stream_bytes, [query])
     assert batch.tolist() == [bit]
     return bit
 
@@ -75,6 +74,10 @@ def test_params_validation():
         CipherParams(n_bits=64, msg_bits=5, num_probes=3, rounds=-1)
     with pytest.raises(ValueError):
         CipherParams.from_passes(64, 5, 16, 0)
+    # the round index fills the query's 8-byte field
+    with pytest.raises(ValueError):
+        CipherParams(n_bits=64, msg_bits=5, num_probes=3, rounds=2**64)
+    CipherParams(n_bits=64, msg_bits=5, num_probes=3, rounds=2**64 - 1)
     # rounds = 0 is the identity cipher, and legal
     CipherParams(n_bits=64, msg_bits=5, num_probes=3, rounds=0)
 
@@ -368,24 +371,67 @@ def test_kernel_rejection_test_at_the_threshold(k):
         assert state == msg
 
 
-def test_kernel_builds_the_decoder_once_per_call(monkeypatch):
-    built = []
+def _record_sizes(oracle):
+    """The sizes of the oracle's ``stream_bytes`` requests, as they are made."""
+    sizes, inner = [], oracle.stream_bytes
 
-    def counting(params):
-        built.append(params)
-        return _probe_decoder(params)
+    def stream_bytes(query_bytes, n):
+        sizes.append(n)
+        return inner(query_bytes, n)
 
-    monkeypatch.setattr(prf, "_probe_decoder", counting)
-    # every round's stream leads with a word that N = 1001 rejects
+    oracle.stream_bytes = stream_bytes
+    return sizes
+
+
+def test_rejected_round_continues_from_the_first_response():
+    # every round's stream leads with a word that N = 1001 rejects, so a
+    # round reads one 512-byte extension past its first 8k + 1 bytes, and
+    # never asks again for those first bytes
     oracle = ScriptedOracle(default_script=_REJECT
                             + hashlib.shake_256(b"once").digest(80))
+    sizes = _record_sizes(oracle)
     p = CipherParams.from_passes(1001, 9, 8, 1)
     key = BigKey.generate(1001, seed_randomness(126, 1))
     msg = BitString.from_int(300, 9)
     cipher = encrypt(msg, key, oracle, p)
-    assert len(built) == 1
+    assert sizes == [65, 577] * p.rounds
     assert decrypt(cipher, key, oracle, p) == msg
-    assert len(built) == 2
+    assert sizes == [65, 577] * 2 * p.rounds
+
+
+def test_mask_bytes_read_past_the_extension():
+    # k = 64 needs 520 bytes; 65 rejected words use them all, 64 accepted
+    # words fill the 512-byte extension exactly, and the 8 mask bytes after
+    # them need one more request
+    m, k, n_bits, rounds = 4, 64, 1001, 5
+    threshold = n_bits * (2**64 // n_bits)
+    p = CipherParams(n_bits=n_bits, msg_bits=m, num_probes=k, rounds=rounds)
+    scripts, draws = {}, {}
+    for r in range(1, rounds + 1):
+        for x in range(1 << (m - 1)):
+            rng = random.Random(f"{r}/{x}")
+            accepted = [rng.randrange(threshold) for _ in range(k)]
+            mask = rng.randbytes(8)
+            scripts[encode_query(PROBE_TAG, r, m, x)] = (
+                _REJECT * 65 + words(*accepted) + mask)
+            draws[r, x] = ProbeDraw(
+                tuple(w % n_bits + 1 for w in accepted),
+                BitString._make(k, int.from_bytes(mask, "little")))
+    oracle = ScriptedOracle(scripts=scripts)
+    sizes = _record_sizes(oracle)
+    for (r, x), want in draws.items():
+        assert derive_probes(oracle, BitString.from_int(x, m - 1), r, p) == want
+        assert sizes == [520, 1032, 1040]
+        sizes.clear()
+    key = BigKey.generate(n_bits, seed_randomness((n_bits + 7) // 8, k))
+    for x in range(1 << m):
+        msg = state = BitString.from_int(x, m)
+        for t in range(1, rounds + 1):
+            state = round_forward(state, t, key, oracle, p)
+        sizes.clear()
+        assert encrypt(msg, key, oracle, p) == state
+        assert sizes == [520, 1032, 1040] * rounds
+        assert decrypt(state, key, oracle, p) == msg
 
 
 def test_pick_tables_are_built_on_first_use():
@@ -462,20 +508,23 @@ def test_round_bits_match_round_function(tmp_path, n_bits, kind, k):
     inputs = [(rng.randrange(1, 1 << 16), rng.getrandbits(15)) for _ in range(48)]
     queries = [encode_query(PROBE_TAG, r, 16, x) for r, x in inputs]
     oracle = _batch_oracle(kind, queries, k)
+    threshold, need = n_bits * (2**64 // n_bits), 8 * k + (k + 7) // 8
     held = BigKey.generate(n_bits, seed_randomness((n_bits + 7) // 8, k))
     path = tmp_path / "batch.key"
     held.save(path)
     with BigKey.load(path) as mapped:
         for key in (held, mapped):
-            bits, got = _round_bits(p, key)(oracle.stream_bytes, queries)
+            bits, got = _round_bits(p, key, oracle.stream_bytes, queries)
             assert got.shape == (len(queries), k)
-            decode = _probe_decoder(p)
             for (r, x), q, f, row in zip(inputs, queries, bits.tolist(),
                                          got.tolist()):
                 draw = derive_probes(oracle, BitString.from_int(x, 15), r, p)
                 assert f == draw_bit(key, draw)
                 assert tuple(w % n_bits + 1 for w in row) == draw.probes
-                assert row == list(decode(oracle.stream_bytes, q)[0])
+                data = _accept(oracle.stream_bytes, q,
+                               oracle.stream_bytes(q, need), k, threshold)
+                assert row == [int.from_bytes(data[i : i + 8], "big")
+                               for i in range(0, 8 * k, 8)]
         # neither the kernel nor its output keeps a view of the mapping
         mapped.close()
 
