@@ -48,13 +48,12 @@ import zlib
 from typing import Optional
 
 from .bitstring import BitString
-from .oracle import KEYGEN_TAG, OracleQuery, Shake256Oracle
+from .oracle import _U64_MAX, KEYGEN_TAG, OracleQuery, Shake256Oracle
 
 MAGIC = b"BIGK"
 VERSION = 2
 
 _MIN_BITS = 8
-_MAX_BITS = 2**64 - 1
 _COPY_CHUNK = 1 << 20
 _HEAD_MAX = 4 + 1 + 1 + 255 + 8
 
@@ -136,7 +135,7 @@ class BigKey:
     """
 
     def __init__(self, n_bits: int, buf, oracle_id: str = "shake256"):
-        if not _MIN_BITS <= n_bits <= _MAX_BITS:
+        if not _MIN_BITS <= n_bits <= _U64_MAX:
             raise ValueError(f"key size {n_bits} out of range {_MIN_BITS}..2^64-1")
         needed = (n_bits + 7) // 8
         if len(buf) != needed:
@@ -158,16 +157,15 @@ class BigKey:
         ``randomness`` is a bytes-like object of at least ceil(n_bits / 8)
         bytes.  The key bits are exactly the supplied bytes under the
         packing convention, except that spare padding positions are zeroed.
+        The constructor checks the size.
         """
-        if not _MIN_BITS <= n_bits <= _MAX_BITS:
-            raise ValueError(f"key size {n_bits} out of range {_MIN_BITS}..2^64-1")
         needed = (n_bits + 7) // 8
         data = bytes(randomness[:needed])
         if len(data) < needed:
             raise ValueError(
                 f"insufficient randomness: need {needed} bytes, got {len(data)}"
             )
-        if n_bits % 8:
+        if n_bits % 8 and data:  # no data: n_bits < 1, refused below
             data = data[:-1] + bytes([data[-1] & ((1 << (n_bits % 8)) - 1)])
         return cls(n_bits, data, oracle_id)
 

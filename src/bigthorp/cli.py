@@ -10,7 +10,10 @@ the width need not be a multiple of four; input whose value needs more
 than ``--bits`` bits is rejected.  ``--key`` falls back to the
 ``BIGTHORP_KEY`` environment variable, the only environment override.
 Numeric arguments are range-checked where argparse parses them, so an out
-of range value is a usage error.
+of range value is a usage error, and so is a cipher shape that
+``CipherParams`` refuses once the key's size is known (``--passes S``
+whose S * (2M - 1) rounds overflow the query's 8-byte round field).  The
+field limits come from ``oracle``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import mpmath
 
 from . import bigkey, bounds, thorp, verify
 from .bitstring import BitString
-from .oracle import Shake256Oracle
+from .oracle import _MAX_MSG_BITS, _U64_MAX, Shake256Oracle
 from .prf import CipherParams
 
 _ENV_KEY = "BIGTHORP_KEY"
@@ -70,11 +73,12 @@ def _build_parser() -> argparse.ArgumentParser:
                                 parser_class=_Parser)
 
     p = sub.add_parser("keygen", help="generate and save a key file")
-    p.add_argument("--bits", type=_number(int, 8), required=True,
-                   metavar="N", help="key size in bits (at least 8)")
+    p.add_argument("--bits", type=_number(int, bigkey._MIN_BITS, high=_U64_MAX),
+                   required=True, metavar="N",
+                   help="key size in bits (8 to 2^64 - 1)")
     p.add_argument("--out", required=True, metavar="PATH",
                    help="destination key file")
-    p.add_argument("--seed", type=_number(int, 0, high=2**64 - 1),
+    p.add_argument("--seed", type=_number(int, 0, high=_U64_MAX),
                    default=None, metavar="INT",
                    help="derive the key deterministically from this seed "
                    "instead of the system RNG (keys of at most 2^33 bits)")
@@ -84,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--key", default=os.environ.get(_ENV_KEY),
                        metavar="PATH",
                        help=f"key file (default: ${_ENV_KEY})")
-        p.add_argument("--bits", type=_number(int, 2, high=2**16 - 1),
+        p.add_argument("--bits", type=_number(int, 2, high=_MAX_MSG_BITS),
                        required=True, metavar="M",
                        help="message width in bits (2 to 65535)")
         p.add_argument("--probes", type=_number(int, 1), required=True,
@@ -92,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--passes", type=_number(int, 1), metavar="S",
                            help="pass count; rounds = S * (2M - 1)")
-        group.add_argument("--rounds", type=_number(int, 0, high=2**64 - 1),
+        group.add_argument("--rounds", type=_number(int, 0, high=_U64_MAX),
                            metavar="T",
                            help="explicit round count (overrides the "
                            "derived form the advantage bound assumes)")
@@ -133,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=sorted(verify.SUITES),
                        help="run one suite (repeatable); names: "
                        + ", ".join(sorted(verify.SUITES)))
-    p.add_argument("--seed", type=_number(int, 0, high=2**64 - 5),
+    p.add_argument("--seed", type=_number(int, 0, high=verify._MAX_SEED),
                    default=None, metavar="INT",
                    help="override the per-suite default seeds (at most "
                    "2^64 - 5: the bias suite derives keys from seed + 4, "
@@ -216,7 +220,11 @@ def _cmd_crypt(args, forward: bool) -> int:
               file=sys.stderr)
         return 1
     with bigkey.BigKey.load(args.key) as key:
-        params = _cipher_params(args, key.n_bits)
+        try:
+            params = _cipher_params(args, key.n_bits)
+        except ValueError as e:  # a shape argparse could not check alone
+            print(f"error: {e}", file=sys.stderr)
+            return 1
         message = BitString.from_hex(args.message, args.bits)
         oracle = Shake256Oracle()
         if forward:

@@ -13,6 +13,11 @@ Widths are fixed by the msg_bits field, so distinct queries can never
 serialize to the same bytes.  Streams must be prefix-consistent: asking
 for n bytes and then n + j bytes returns the same first n bytes.
 
+This module owns the cipher's shape limits, which these fields set:
+``_U64_MAX`` bounds every 8-byte field and ``_MAX_MSG_BITS`` the 2-byte
+width.  Every other check (``CipherParams``, ``BigKey``, the CLI's
+argument ranges) imports them from here.
+
 Two backends are provided.  ``Shake256Oracle`` is the production backend
 (SHAKE-256 over the serialized query).  ``ScriptedOracle`` is for tests:
 individual queries can be pinned to exact byte scripts, a default script
@@ -32,7 +37,9 @@ from .bitstring import BitString
 PROBE_TAG = 0x01
 KEYGEN_TAG = 0x02
 
-_MAX_ROUND = 2**64 - 1
+# the query's round field, the key file's N field and the scripted seed
+_U64_MAX = 2**64 - 1
+# the query's width field
 _MAX_MSG_BITS = 2**16 - 1
 _HEAD = struct.Struct(">BQH")
 
@@ -59,10 +66,11 @@ class OracleQuery:
     def __post_init__(self):
         if not 0 <= self.tag <= 0xFF:
             raise ValueError(f"tag {self.tag} out of range 0..255")
-        if not 0 <= self.round <= _MAX_ROUND:
+        if not 0 <= self.round <= _U64_MAX:
             raise ValueError(f"round {self.round} does not fit in 8 bytes")
         if not 1 <= self.msg_bits <= _MAX_MSG_BITS:
-            raise ValueError(f"msg_bits {self.msg_bits} out of range 1..65535")
+            raise ValueError(
+                f"msg_bits {self.msg_bits} out of range 1..{_MAX_MSG_BITS}")
         if len(self.r_bits) != self.msg_bits - 1:
             raise ValueError(
                 f"round input has {len(self.r_bits)} bits, expected "
@@ -138,7 +146,7 @@ class ScriptedOracle(Oracle):
         seed: int = 0,
     ):
         super().__init__()
-        if not 0 <= seed <= _MAX_ROUND:
+        if not 0 <= seed <= _U64_MAX:
             raise ValueError("seed must fit in 8 bytes")
         self._scripts = {}
         for key, body in (scripts or {}).items():

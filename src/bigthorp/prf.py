@@ -41,11 +41,11 @@ from typing import Tuple
 
 from .bigkey import BigKey
 from .bitstring import BitString
-from .oracle import _HEAD, PROBE_TAG, Oracle, OracleQuery
+from .oracle import _HEAD, _MAX_MSG_BITS, _U64_MAX, PROBE_TAG, Oracle, OracleQuery
 
 REJECTION_CAP = 1000
 _WORD = 8
-_B = 1 << 64
+_B = _U64_MAX + 1
 _EXTEND = 512
 
 
@@ -69,13 +69,14 @@ class CipherParams:
     rounds: int
 
     def __post_init__(self):
-        if not 1 <= self.n_bits <= _B:
-            raise ValueError(f"n_bits {self.n_bits} out of range 1..2^64")
-        if not 2 <= self.msg_bits <= 2**16 - 1:
-            raise ValueError(f"msg_bits {self.msg_bits} out of range 2..65535")
+        if not 1 <= self.n_bits <= _U64_MAX:
+            raise ValueError(f"n_bits {self.n_bits} out of range 1..2^64 - 1")
+        if not 2 <= self.msg_bits <= _MAX_MSG_BITS:
+            raise ValueError(
+                f"msg_bits {self.msg_bits} out of range 2..{_MAX_MSG_BITS}")
         if self.num_probes < 1:
             raise ValueError("num_probes must be at least 1")
-        if not 0 <= self.rounds <= _B - 1:  # the query's 8-byte round field
+        if not 0 <= self.rounds <= _U64_MAX:
             raise ValueError(f"rounds {self.rounds} out of range 0..2^64 - 1")
 
     @classmethod
@@ -233,10 +234,6 @@ def derive_probes(
     """Decode the probe positions and subset mask for (round, input)."""
     if round_index < 1:
         raise ValueError("round_index must be at least 1")
-    if len(r_bits) != params.msg_bits - 1:
-        raise ValueError(
-            f"round input has {len(r_bits)} bits, expected {params.msg_bits - 1}"
-        )
     query = OracleQuery(PROBE_TAG, round_index, params.msg_bits, r_bits)
     n, k = params.n_bits, params.num_probes
     mask_at = _WORD * k

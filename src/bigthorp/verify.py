@@ -53,7 +53,8 @@ import numpy as np
 from .bigkey import BigKey, seed_randomness
 from .bitstring import _reverse_bits
 from .bounds import entropy_h, entropy_h_inv
-from .oracle import PROBE_TAG, Oracle, ScriptedOracle, Shake256Oracle, encode_query
+from .oracle import (
+    _U64_MAX, PROBE_TAG, Oracle, ScriptedOracle, Shake256Oracle, encode_query)
 from .prf import CipherParams, _check_key, _round_bits
 
 _MAX_TABLE_BITS = 20
@@ -64,6 +65,7 @@ _ENUM_OP_CAP = 1 << 31
 _MIN_TRIALS = 10**4
 _BATCH = 1024          # queries or probe tuples evaluated together
 _MASS_CELLS = 1 << 18  # pattern-index cells per collision-mass block
+_MAX_SEED = _U64_MAX - 4  # the bias suite's key seeds reach seed + 4
 
 
 @dataclass(frozen=True)

@@ -67,9 +67,30 @@ def test_generate_requires_enough_randomness():
         BigKey.generate(64, 8)  # bytes(8) would be an all-zero key
 
 
+class _Sized:
+    """A key store with a length but no bytes, to reach the size checks."""
+
+    def __init__(self, length):
+        self.length = length
+
+    def __len__(self):
+        return self.length
+
+
 def test_generate_rejects_tiny_keys():
     with pytest.raises(ValueError):
         BigKey.generate(7, b"\x00")
+    with pytest.raises(ValueError):
+        BigKey(7, b"\x00")
+    # a negative size is a ValueError, not an IndexError on the padding byte
+    with pytest.raises(ValueError):
+        BigKey.generate(-1, b"")
+    # N fills the key file's 8-byte field
+    BigKey(2**64 - 1, _Sized(2**61))
+    with pytest.raises(ValueError):
+        BigKey(2**64, _Sized(2**61))
+    with pytest.raises(ValueError):
+        BigKey(2**64, b"")
 
 
 def test_seeded_key_is_balanced():

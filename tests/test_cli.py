@@ -140,9 +140,15 @@ def test_usage_errors_exit_one(key_path, tmp_path, monkeypatch):
          "--rounds", str(2**64), "--in", "0a"],
         ["encrypt", "--key", dummy, "--bits", "70000", "--probes", "8",
          "--passes", "1", "--in", "00"],
+        # S * (2M - 1) rounds overflow the round field once the key is loaded
+        ["encrypt", "--key", str(key_path), "--bits", "16", "--probes", "8",
+         "--passes", str(2**60), "--in", "00ff"],
         ["encrypt", "--bits", "16", "--probes", "8", "--passes", "1",
          "--in", "00"],  # no --key and no env fallback
         ["keygen", "--bits", "4", "--out", dummy],
+        # 2^64 bits: N fills the key file's 8-byte field; refused before any
+        # randomness is drawn
+        ["keygen", "--bits", str(2**64), "--out", dummy],
         ["keygen", "--bits", "64", "--out", dummy, "--seed", "-1"],
         ["keygen", "--bits", "64", "--out", dummy,
          "--seed", "18446744073709551616"],  # 2^64: the round field's limit
@@ -160,6 +166,9 @@ def test_usage_errors_exit_one(key_path, tmp_path, monkeypatch):
          "--points", "3"],
         ["curve", "--n", "1048576", "--leak", "1024", "--bits", "16",
          "--probes", "16", "--passes", "2", "--q-from", "1", "--q-to", "inf",
+         "--points", "3"],
+        ["curve", "--n", "1048576", "--leak", "1024", "--bits", "16",
+         "--probes", "16", "--passes", "2", "--q-from", "8", "--q-to", "2",
          "--points", "3"],
         ["bounds", "--n", "1048576", "--leak", "1024", "--bits", "16",
          "--probes", "16", "--passes", "2", "--queries", "nan"],

@@ -1,11 +1,15 @@
 """Query serialization and oracle backend behavior."""
 
+import ast
+import operator
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
+from bigthorp import oracle
 from bigthorp import (
     KEYGEN_TAG,
     PROBE_TAG,
@@ -153,8 +157,58 @@ def test_scripted_seeded_fallback_is_stable_and_prefix_consistent():
     assert c.stream(query, 48) != a.stream(query, 48)
     # fallback differs from the production backend on the same query
     assert a.stream(query, 48) != Shake256Oracle().stream(query, 48)
+    # the seed is hashed as 8 bytes
+    ScriptedOracle(seed=2**64 - 1).stream(query, 8)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError):
+            ScriptedOracle(seed=seed)
 
 
 def test_stream_rejects_negative_length():
     with pytest.raises(ValueError):
         Shake256Oracle().stream(q(), -1)
+
+
+# -- the field limits have one owner -------------------------------------------
+
+_LIMITS = {"_U64_MAX": 2**64 - 1, "_MAX_MSG_BITS": 2**16 - 1}
+_FOLD = {ast.Pow: operator.pow, ast.LShift: operator.lshift,
+         ast.Add: operator.add, ast.Sub: operator.sub}
+
+
+def _literal_int(node):
+    """The value of an int expression built only from literals with ``**``,
+    ``<<``, ``+`` and ``-``, else None."""
+    if isinstance(node, ast.Constant):
+        return node.value if type(node.value) is int else None
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        value = _literal_int(node.operand)
+        return None if value is None else -value
+    if isinstance(node, ast.BinOp) and type(node.op) in _FOLD:
+        left, right = _literal_int(node.left), _literal_int(node.right)
+        if left is None or right is None:
+            return None
+        if type(node.op) in (ast.Pow, ast.LShift) and not 0 <= right <= 1024:
+            return None
+        return _FOLD[type(node.op)](left, right)
+    return None
+
+
+def test_shape_limits_are_defined_once_in_oracle():
+    assert {name: getattr(oracle, name) for name in _LIMITS} == _LIMITS
+    limits = {*_LIMITS.values(), 2**64}
+    package = Path(oracle.__file__).parent
+    stray, defined = [], []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = set()
+        if path == package / "oracle.py":
+            for node in tree.body:
+                if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                        and getattr(node.targets[0], "id", None) in _LIMITS):
+                    defined.append(node.targets[0].id)
+                    allowed.update(map(id, ast.walk(node.value)))
+        stray += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if id(node) not in allowed and _literal_int(node) in limits]
+    assert sorted(defined) == sorted(_LIMITS)
+    assert stray == []

@@ -78,6 +78,10 @@ def test_params_validation():
     with pytest.raises(ValueError):
         CipherParams(n_bits=64, msg_bits=5, num_probes=3, rounds=2**64)
     CipherParams(n_bits=64, msg_bits=5, num_probes=3, rounds=2**64 - 1)
+    # N fills the key file's 8-byte field, as it does for every BigKey
+    with pytest.raises(ValueError):
+        CipherParams(n_bits=2**64, msg_bits=5, num_probes=3, rounds=9)
+    CipherParams(n_bits=2**64 - 1, msg_bits=5, num_probes=3, rounds=9)
     # rounds = 0 is the identity cipher, and legal
     CipherParams(n_bits=64, msg_bits=5, num_probes=3, rounds=0)
 
