@@ -30,11 +30,13 @@ The checks, stated over explicit tables:
   batches through ``prf._round_bits``, which gives each query the bit that
   a round of the kernel ``prf._rounds`` under ``encrypt`` would give.
 
-``main_lemma_check`` and the conditioned ``bias_estimate`` share one
-batched collision-mass helper, ``_fiber_collision_mass``: it takes a
-(B, k) array of probe positions and returns B masses, each bit-identical
-to the mass of that row alone, and both callers add the masses in tuple or
-trial order, as a per-row loop would.
+``main_lemma_check`` and the conditioned ``bias_estimate`` read the
+collision mass from one table of agreeing pairs.  Two uniform elements of
+a fiber F show the same probed bits exactly when they agree on the probe
+positions P, so the collision mass of P is S[~P] / |F|^2, where
+S[U] = #{(x, y) in F^2 : x xor y lies inside U}.  ``_agreeing_pairs``
+builds S in integers, so every mass, and ``main_lemma_check``'s
+``expected_g``, is the correctly rounded value of the exact rational.
 
 Suites bundle these with fixed seeds and aggregate the worst case per
 group into ``CheckResult`` rows (name, lhs, rhs, pass) for the CLI.
@@ -63,8 +65,7 @@ _MAX_FIBER_BITS = 14
 _MAX_SUBSET_PROBES = 20
 _ENUM_OP_CAP = 1 << 31
 _MIN_TRIALS = 10**4
-_BATCH = 1024          # queries or probe tuples evaluated together
-_MASS_CELLS = 1 << 18  # pattern-index cells per collision-mass block
+_BATCH = 1024  # queries evaluated together
 _MAX_SEED = _U64_MAX - 4  # the bias suite's key seeds reach seed + 4
 
 
@@ -241,85 +242,53 @@ class MainLemmaResult:
     alpha: float
 
 
-def _last_ranks(positions: np.ndarray, n0: int) -> np.ndarray:
-    """(B, k) uint8: each probe position's rank among its row's last occurrences."""
-    k = positions.shape[1]
-    ids = np.arange(len(positions))[:, None]
-    last = np.empty((len(positions), n0), dtype=np.intp)
-    for j in range(k):
-        last[ids, positions[:, j : j + 1]] = j
-    at = last[ids, positions]  # where each probe's position last occurs
-    seen = np.cumsum(at == np.arange(k), axis=1, dtype=np.uint8)
-    return seen[ids, at] - 1
+def _agreeing_pairs(fiber: np.ndarray, n0: int) -> np.ndarray:
+    """S[U] = #{(x, y) in fiber^2 : x xor y lies inside U} for every n0-bit
+    mask U, as int64.
+
+    The pair count of each difference d = x xor y is the Walsh-Hadamard
+    transform of the squared transform of the fiber's indicator, divided
+    by 2^n0; S sums those counts over the subsets of U.  At n0 <= 14 every
+    intermediate value is below 2^42.
+    """
+    def hadamard(a: np.ndarray) -> np.ndarray:
+        for i in range(n0):
+            v = a.reshape(-1, 2, 1 << i)  # v[:, 1] has bit i set
+            a = np.stack((v[:, 0] + v[:, 1], v[:, 0] - v[:, 1]), axis=1)
+        return a.reshape(-1)
+
+    indicator = np.zeros(1 << n0, dtype=np.int64)
+    indicator[fiber] = 1
+    spectrum = hadamard(indicator)
+    pairs = hadamard(spectrum * spectrum) >> n0  # pairs[d]: x xor y == d
+    for i in range(n0):  # add each pair count into the masks containing d
+        v = pairs.reshape(-1, 2, 1 << i)
+        v[:, 1] += v[:, 0]
+    return pairs
 
 
 @lru_cache(maxsize=16)
-def _probe_tuples(n0: int, k: int, start: int):
-    """Up to ``_BATCH`` rows from ``start`` of ``itertools.product(range(n0),
-    repeat=k)`` and their ``_last_ranks``, read-only: every fiber shares them."""
-    t = np.arange(start, min(start + _BATCH, n0**k))
-    positions = t[:, None] // n0 ** np.arange(k - 1, -1, -1) % n0
-    ranks = _last_ranks(positions, n0)
-    positions.flags.writeable = ranks.flags.writeable = False
-    return positions, ranks
-
-
-def _fiber_collision_mass(fiber: np.ndarray, n0: int):
-    """``mass(positions, ranks=None) -> (B,) float64``: for each row of the
-    (B, k) 0-based probe positions (with their ``_last_ranks``, if known),
-    the sum of squared pattern probabilities of the probed bits for a
-    uniform element of ``fiber``.
-
-    A probe sets the bit of its position's rank among the row's last
-    occurrences in that row's pattern index.  Equal positions carry equal
-    bits, so the patterns sort in the same order as an index with probe j
-    at bit j, and the index stays below 2^min(k, n0), which fits 16 bits
-    and so takes numpy's stable radix sort.  Each row's nonzero counts are
-    squared in index order and summed by numpy's row reduction, so a row
-    gives the same float, bit for bit, as the sum over that row alone.
-    """
-    bits = (fiber[None, :] >> np.arange(n0)[:, None]) & 1
-    rows_at_once = max(1, _MASS_CELLS // fiber.size)
-
-    def block(positions: np.ndarray, shift: np.ndarray) -> np.ndarray:
-        k = positions.shape[1]
-        codes = bits.astype(np.min_scalar_type((1 << min(k, n0)) - 1))
-        idx = np.zeros((len(positions), fiber.size), dtype=codes.dtype)
-        for j in range(k):
-            idx |= codes[positions[:, j]] << shift[:, j, None]
-        idx.sort(axis=1, kind="stable")
-        starts = np.ones(idx.shape, dtype=bool)
-        starts[:, 1:] = idx[:, 1:] != idx[:, :-1]
-        first = np.flatnonzero(starts)  # each row's patterns, in index order
-        counts = np.diff(first, append=idx.size)
-        patterns = np.bincount(first // fiber.size, minlength=len(positions))
-        row_first = np.cumsum(patterns) - patterns
-        out = np.empty(len(positions))
-        for c in np.unique(patterns):
-            rows = np.flatnonzero(patterns == c)
-            grouped = counts[row_first[rows, None] + np.arange(c)]
-            out[rows] = np.square(grouped / fiber.size).sum(axis=1)
-        return out
-
-    def mass(positions, ranks=None) -> np.ndarray:
-        positions = np.asarray(positions, dtype=np.intp)
-        ranks = _last_ranks(positions, n0) if ranks is None else ranks
-        return np.concatenate([
-            block(positions[i : i + rows_at_once], ranks[i : i + rows_at_once])
-            for i in range(0, len(positions), rows_at_once)
-        ])
-
-    return mass
+def _tuple_counts(n0: int, k: int) -> Tuple[int, ...]:
+    """For each position set P (an n0-bit mask), how many of the n0^k probe
+    tuples hit exactly the positions in P: the maps of k probes onto |P|
+    positions, by inclusion-exclusion.  Every fiber shares them."""
+    onto = [sum((-1) ** i * math.comb(d, i) * (d - i) ** k for i in range(d + 1))
+            for d in range(n0 + 1)]
+    return tuple(onto[p.bit_count()] for p in range(1 << n0))
 
 
 def main_lemma_check(lt: LeakageTable, leak_value: int, k: int) -> MainLemmaResult:
     """Exact expected collision mass of k probed bits on one fiber.
 
-    Enumerates all n0^k probe tuples (probes uniform with replacement over
-    bit positions) and, per tuple, the exact pattern distribution of the
-    probed bits for a uniform fiber element.  The bound uses the fiber's
-    own alpha = n0 - log2|fiber|; when (alpha + k)/n0 > 1 the bound's
-    domain is empty and the result is flagged instead of asserted.
+    The expectation runs over all n0^k probe tuples (probes uniform with
+    replacement over bit positions).  A tuple's collision mass depends only
+    on its set P of distinct positions and equals S[~P] / |F|^2, with S
+    from ``_agreeing_pairs``; so the expectation is the integer sum of
+    (tuples hitting exactly P) * S[~P] over every P, divided once by
+    |F|^2 * n0^k.  ``expected_g`` is the correctly rounded value of that
+    exact rational.  The bound uses the fiber's own
+    alpha = n0 - log2|fiber|; when (alpha + k)/n0 > 1 the bound's domain is
+    empty and the result is flagged instead of asserted.
     """
     n0 = lt.n0
     if k < 1:
@@ -342,12 +311,9 @@ def main_lemma_check(lt: LeakageTable, leak_value: int, k: int) -> MainLemmaResu
         bound = float(entropy_h_inv(max(z, 0.0)) ** k)
     else:
         bound = math.nan
-    mass = _fiber_collision_mass(fiber, n0)
-    total = 0.0
-    for start in range(0, n0**k, _BATCH):
-        for g in mass(*_probe_tuples(n0, k, start)).tolist():
-            total += g  # tuple order, as a per-tuple loop adds them
-    expected_g = total / n0**k
+    agree = _agreeing_pairs(fiber, n0)[::-1].tolist()  # S[full ^ P] at P
+    total = sum(c * s for c, s in zip(_tuple_counts(n0, k), agree))
+    expected_g = total / (fiber.size**2 * n0**k)  # int / int: correctly rounded
     return MainLemmaResult(expected_g, bound, bound_valid, alpha)
 
 
@@ -409,7 +375,11 @@ def bias_estimate(
                 f"conditioning needs key size <= {_MAX_FIBER_BITS} bits"
             )
         x0 = sum(key.get_bit(i) << (i - 1) for i in range(1, key.n_bits + 1))
-        mass = _fiber_collision_mass(lt.fiber(int(lt.table[x0])), lt.n0)
+        fiber = lt.fiber(int(lt.table[x0]))
+        by_set = _agreeing_pairs(fiber, lt.n0)[::-1] / fiber.size**2
+
+        def mass(positions):  # the mass at the row's set of positions
+            return by_set[np.bitwise_or.reduce(1 << positions, axis=1)]
     else:
         def mass(positions):  # uniform key: 2^-(distinct positions)
             ranked = np.sort(positions, axis=1)
@@ -571,11 +541,12 @@ def run_collision_suite(n0: int = 8, ks: Sequence[int] = (1, 2, 3),
                     continue
                 checked += 1
                 worst_excess = max(worst_excess, res.expected_g - res.bound)
+        note = (f"worst (expected_g - bound) over {checked} fibers" if checked
+                else "no fiber lay in the bound's domain")
         results.append(CheckResult(
             f"collision/random-k{k}", worst_excess, 1e-12,
-            worst_excess <= 1e-12,
-            f"worst (expected_g - bound) over {checked} fibers"
-            + (f", {skipped} invalid-domain skipped" if skipped else ""),
+            checked > 0 and worst_excess <= 1e-12,
+            note + (f", {skipped} invalid-domain skipped" if skipped else ""),
         ))
     return results
 
@@ -652,9 +623,13 @@ def render_report(results: Iterable[CheckResult]) -> str:
 
 
 def report_rows(results: Iterable[CheckResult]) -> List[dict]:
-    """Machine-readable summary rows."""
+    """Machine-readable summary rows; a value that is not finite, such as
+    the lhs of a row that checked nothing, becomes None (JSON null)."""
+    def value(x: float) -> Optional[float]:
+        return x if math.isfinite(x) else None
+
     return [
-        {"name": r.name, "lhs": r.lhs, "rhs": r.rhs, "pass": r.passed,
-         "note": r.note}
+        {"name": r.name, "lhs": value(r.lhs), "rhs": value(r.rhs),
+         "pass": r.passed, "note": r.note}
         for r in results
     ]

@@ -321,6 +321,14 @@ def test_failed_save_keeps_the_old_file(tmp_path):
         BigKey(64, FailingBuffer(bytes(8))).save(path)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["key.bk"]
+    # an oracle identifier the header cannot hold: neither the old file nor
+    # a new target changes, and no temporary file is left
+    for ident in ("", "x" * 256):
+        for target in (path, tmp_path / "new.bk"):
+            with pytest.raises(ValueError, match="oracle identifier"):
+                BigKey(64, bytes(8), oracle_id=ident).save(target)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["key.bk"]
 
 
 def test_key_larger_than_ram_is_used_in_place(tmp_path):

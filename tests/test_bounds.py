@@ -385,6 +385,13 @@ def test_bound_rejects_unknown_variant():
         theorem1_bound(EXAMPLE, variant="fast")
 
 
+def test_gamma_bound_rejects_zero_passes_and_negative_q():
+    with pytest.raises(ValueError, match="passes must be at least 1"):
+        gamma_bound(dataclasses.replace(EXAMPLE, passes=0), 2**10)
+    with pytest.raises(ValueError, match="q must be nonnegative"):
+        gamma_bound(EXAMPLE, -1)
+
+
 def test_bound_rejects_oversubscribed_key():
     # alpha + k exceeds the key size: the inverse-entropy argument
     # goes negative and the bound statement does not apply
@@ -510,6 +517,13 @@ def test_curve_flags_negative_entropy_argument():
     points = gamma_curve(b, [4.0])
     assert points[0].valid is False
     assert "n_bits" in points[0].reason
+
+
+def test_curve_flags_negative_q():
+    points = gamma_curve(EXAMPLE, [-1.0])
+    assert points[0].valid is False
+    assert points[0].reason == "q < 0"
+    assert points[0].neg_log2_gamma is None
 
 
 def test_curve_flags_bound_above_one():

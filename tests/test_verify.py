@@ -7,8 +7,10 @@ than against the implementation's own output.
 """
 
 import itertools
+import json
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from bigthorp.verify import (
     CheckResult,
     DistributionTable,
     LeakageTable,
-    _fiber_collision_mass,
+    _agreeing_pairs,
     _parity_expectations,
     bias_estimate,
     decomposition_check,
@@ -274,7 +276,7 @@ def test_main_lemma_projection_frozen_values():
     lt = LeakageTable.projection(8, 2)
     res = main_lemma_check(lt, 0, 2)
     # exact rational answer for this fiber is 53/128
-    assert abs(res.expected_g - 53 / 128) <= 1e-12
+    assert res.expected_g == 53 / 128
     assert res.alpha == 2.0
     assert res.bound_valid
     assert abs(res.bound - 0.792050402076147) <= 1e-9
@@ -286,8 +288,8 @@ def test_main_lemma_full_space_matches_combinatorial_oracle():
     frozen = {1: 0.5, 2: 9 / 32, 3: 11 / 64}
     for k, value in frozen.items():
         res = main_lemma_check(lt, 0, k)
-        assert abs(res.expected_g - value) <= 1e-12
-        assert abs(distinct_probe_collision_mass(8, k) - value) <= 1e-12
+        assert res.expected_g == value
+        assert distinct_probe_collision_mass(8, k) == value
         assert res.bound_valid
         assert res.expected_g <= res.bound + 1e-12
 
@@ -324,19 +326,33 @@ def test_main_lemma_input_errors():
         main_lemma_check(LeakageTable.constant(14, 1), 0, 8)
 
 
-def _full_index_mass(fiber, positions):
-    # sum of squared pattern probabilities, counting the full k-bit index
-    # on Python ints, so it holds at any k
+def _pattern_square_sum(fiber, positions):
+    # sum of squared pattern counts of the probed bits, counting the full
+    # k-bit pattern index on Python ints, so it holds at any k
     idx = np.zeros(fiber.size, dtype=object)
     for j, pos in enumerate(positions):
         idx |= ((fiber >> pos) & 1).astype(object) << j
     _, counts = np.unique(idx, return_counts=True)
-    return float(((counts / fiber.size) ** 2).sum())
+    return int((counts**2).sum())
+
+
+def _assert_agreeing_pairs(fiber, n0, batch):
+    # per row: S[full ^ P] is the count of fiber pairs that agree on every
+    # probed position, and the mass S[full ^ P] / |F|^2 is the correctly
+    # rounded sum of squared pattern probabilities
+    agree = _agreeing_pairs(fiber, n0)
+    differ = fiber[:, None] ^ fiber[None, :]  # every ordered pair
+    for row in batch:
+        probed = sum({1 << pos for pos in row})
+        pairs = int(agree[((1 << n0) - 1) ^ probed])
+        assert pairs == np.count_nonzero((differ & probed) == 0)
+        exact = Fraction(_pattern_square_sum(fiber, row), fiber.size**2)
+        assert pairs / fiber.size**2 == float(exact)
 
 
 def test_fiber_collision_mass_matches_full_index_count():
-    # same floats, bit for bit, as counting the full k-bit pattern index,
-    # for every row of a batch whose rows have different pattern counts
+    # exact pair counts and correctly rounded masses for every row of a
+    # batch whose rows have different pattern counts
     rng = np.random.default_rng(47)
     for _ in range(300):
         n0 = int(rng.integers(4, 11))
@@ -345,33 +361,30 @@ def test_fiber_collision_mass_matches_full_index_count():
         positions = [int(p) for p in rng.integers(0, n0, int(rng.integers(1, 12)))]
         batch = [positions, positions[::-1], [positions[0]] * len(positions),
                  [(p + 1) % n0 for p in positions]]
-        got = _fiber_collision_mass(fiber, n0)(batch)
-        assert got.tolist() == [_full_index_mass(fiber, row) for row in batch]
+        _assert_agreeing_pairs(fiber, n0, batch)
 
 
 @pytest.mark.parametrize("k", [8, 9, 16, 17, 32, 33, 63, 64, 100])
 def test_fiber_collision_mass_at_each_pattern_width(k):
-    # on either side of 8, 16, 32 and 64 probes, the ranked index gives
-    # the full-index count's floats, bit for bit
+    # on either side of 8, 16, 32 and 64 probes, where a k-bit pattern
+    # index changes width; the position set stays an n0-bit mask
     rng = np.random.default_rng(k)
     lt = LeakageTable.random(10, 2, rng)
     fiber = lt.fiber(int(lt.table[0]))
-    batch = rng.integers(0, 10, (5, k)).tolist()
-    got = _fiber_collision_mass(fiber, 10)(batch)
-    assert got.tolist() == [_full_index_mass(fiber, row) for row in batch]
+    _assert_agreeing_pairs(fiber, 10, rng.integers(0, 10, (5, k)).tolist())
 
 
 @pytest.mark.parametrize("n0, l0, k", [(5, 1, 1), (6, 2, 2), (7, 2, 3),
                                        (8, 0, 3)])
 def test_main_lemma_expected_g_matches_per_tuple_loop(n0, l0, k):
-    # bit for bit: the collision suite pins lhs only within 1e-12
+    # the correctly rounded exact value, summed tuple by tuple
     lt = LeakageTable.random(n0, l0, np.random.default_rng(n0 + k))
     for leak_value in lt.fibers():
         fiber = lt.fiber(leak_value)
-        total = 0.0
-        for tup in itertools.product(range(n0), repeat=k):
-            total += _full_index_mass(fiber, tup)
-        assert main_lemma_check(lt, leak_value, k).expected_g == total / n0**k
+        total = sum(_pattern_square_sum(fiber, tup)
+                    for tup in itertools.product(range(n0), repeat=k))
+        exact = Fraction(total, fiber.size**2 * n0**k)
+        assert main_lemma_check(lt, leak_value, k).expected_g == float(exact)
 
 
 def test_distinct_probe_mass_matches_brute_force():
@@ -434,7 +447,7 @@ def test_bias_conditioned_full_fiber_matches_unconditioned():
     est_fiber = bias_estimate(key, Shake256Oracle(), flat, 10**4, params,
                               seed=19)
     assert est_closed.empirical_tv == est_fiber.empirical_tv
-    assert abs(est_closed.corollary_bound - est_fiber.corollary_bound) <= 1e-12
+    assert est_closed.corollary_bound == est_fiber.corollary_bound
 
 
 def test_bias_argument_errors():
@@ -521,6 +534,22 @@ def test_collision_suite_passes():
         ("collision/random-k2", True, 1e-12, -0.4249527855930015),
         ("collision/random-k3", True, 1e-12, -0.526545664171995),
     ])
+
+
+def test_collision_suite_fails_a_row_that_checks_no_fiber():
+    # 4-bit keys under a 3-bit leak: every fiber leaves the bound's domain
+    # at k = 3, so the random row checks nothing and must not pass
+    results = run_collision_suite(n0=4, ks=(3,), l0_values=(3,))
+    row = results[-1]
+    assert row.name == "collision/random-k3"
+    assert not row.passed
+    assert row.lhs == -math.inf
+    assert row.note == ("no fiber lay in the bound's domain, "
+                        "141 invalid-domain skipped")
+    assert [r.passed for r in results[:-1]] == [True, True]
+    # the empty row's lhs is not finite, and the JSON rows stay valid
+    text = json.dumps(report_rows(results), allow_nan=False)
+    assert json.loads(text)[-1]["lhs"] is None
 
 
 def test_bias_suite_passes():
