@@ -77,7 +77,7 @@ def seed_randomness(n_bytes: int, seed: int) -> bytes:
     from the same oracle family as everything else, under a domain tag that
     the cipher's probe queries never use.
     """
-    query = OracleQuery(KEYGEN_TAG, seed, 1, BitString())
+    query = OracleQuery(KEYGEN_TAG, seed, 1, BitString.from_int(0, 0))
     return Shake256Oracle().stream(query, n_bytes)
 
 

@@ -1,40 +1,15 @@
-"""Fixed-length bit strings under one package-wide packing convention.
+"""Fixed-length bit strings: the message codec and the staged round's state.
 
-Bits are addressed 1-based.  In packed byte form, bit ``i`` occupies bit
-position ``(i - 1) % 8`` of byte ``(i - 1) // 8`` (least significant bit
-first), and any unused positions in the final byte are zero.  That layout
-is exactly the little-endian encoding of the integer ``sum(bit_i << (i-1))``,
-which is how instances store their payload internally.  Key files, oracle
-subset masks and message payloads all share this layout, so a ``BitString``
-round-trips through ``to_bytes``/``from_bytes`` without any re-indexing.
+Messages cross the API boundary as big-endian values (bit 1 is the most
+significant bit) through ``from_int``/``to_int`` and ``from_hex``/``to_hex``.
+Inside, bit ``i`` sits at position ``i - 1`` of a packed integer, the order
+of key files and oracle subset masks; the staged round
+(``thorp.round_forward``/``round_backward``) works on it through
+``split_lr``, ``split_last``, ``append_bit`` and ``prepend_bit``.
 
-Hex strings on the command line use the opposite, human-conventional order:
-the most significant digit comes first and bit 1 is the most significant
-bit of the value.  ``from_hex``/``to_hex`` (and the ``from_int``/``to_int``
-pair underneath them) implement that boundary codec; everything else in the
-package speaks the packed order.
-
-Instances are immutable.  Operations that would modify a value return a new
-one, so bit strings are safe to share, hash and use as dict keys.
+Instances are immutable and built only through the class methods, so bit
+strings are safe to share, hash and use as dict keys.
 """
-
-from __future__ import annotations
-
-from typing import Iterable, Iterator, Union
-
-BitsLike = Union[str, Iterable[int]]
-
-
-def _as_bit(b) -> int:
-    if isinstance(b, str):
-        if b == "0":
-            return 0
-        if b == "1":
-            return 1
-        raise ValueError(f"invalid bit character {b!r}")
-    if b in (0, 1):
-        return int(b)
-    raise ValueError(f"invalid bit value {b!r}")
 
 
 def _reverse_bits(value: int, length: int) -> int:
@@ -46,44 +21,16 @@ class BitString:
 
     __slots__ = ("_length", "_value")
 
-    def __init__(self, bits: BitsLike = ()):
-        value = 0
-        length = 0
-        for b in bits:
-            value |= _as_bit(b) << length
-            length += 1
-        self._length = length
-        self._value = value
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build a BitString with from_int or from_hex")
 
     @classmethod
     def _make(cls, length: int, value: int) -> "BitString":
+        """The one constructor: ``value`` holds bit i at position i - 1."""
         self = cls.__new__(cls)
         self._length = length
         self._value = value
         return self
-
-    # -- constructors ------------------------------------------------
-
-    @classmethod
-    def zeros(cls, length: int) -> "BitString":
-        if length < 0:
-            raise ValueError("length must be nonnegative")
-        return cls._make(length, 0)
-
-    @classmethod
-    def from_bytes(cls, data: bytes, length: int) -> "BitString":
-        """Unpack ``length`` bits from ``data``, rejecting bad padding."""
-        if length < 0:
-            raise ValueError("length must be nonnegative")
-        nbytes = (length + 7) // 8
-        if len(data) != nbytes:
-            raise ValueError(
-                f"expected {nbytes} bytes for {length} bits, got {len(data)}"
-            )
-        value = int.from_bytes(data, "little")
-        if value >> length:
-            raise ValueError("nonzero padding bits in final byte")
-        return cls._make(length, value)
 
     @classmethod
     def from_int(cls, value: int, length: int) -> "BitString":
@@ -99,7 +46,7 @@ class BitString:
         if length < 0:
             raise ValueError("length must be nonnegative")
         if text == "" and length == 0:  # to_hex() of the empty string
-            return cls.zeros(0)
+            return cls._make(0, 0)
         try:
             value = int(text, 16)
         except (ValueError, TypeError):
@@ -110,11 +57,6 @@ class BitString:
             raise ValueError(f"hex value {text!r} does not fit in {length} bits")
         return cls.from_int(value, length)
 
-    # -- encoders ----------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        return self._value.to_bytes((self._length + 7) // 8, "little")
-
     def to_int(self) -> int:
         """Big-endian value of the string: bit 1 is the most significant."""
         return _reverse_bits(self._value, self._length)
@@ -124,21 +66,6 @@ class BitString:
             return ""
         digits = (self._length + 3) // 4
         return format(self.to_int(), f"0{digits}x")
-
-    def to_binstr(self) -> str:
-        return "".join("01"[(self._value >> i) & 1] for i in range(self._length))
-
-    def bits(self) -> tuple:
-        return tuple((self._value >> i) & 1 for i in range(self._length))
-
-    # -- bit access --------------------------------------------------
-
-    def get_bit(self, i: int) -> int:
-        if not 1 <= i <= self._length:
-            raise IndexError(f"bit index {i} out of range 1..{self._length}")
-        return (self._value >> (i - 1)) & 1
-
-    # -- structural operations ----------------------------------------
 
     def split_lr(self) -> tuple:
         """Split off the first bit: returns ``(bit_1, bits 2..L)``."""
@@ -163,13 +90,8 @@ class BitString:
             raise ValueError(f"invalid bit value {bit!r}")
         return self._make(self._length + 1, bit | (self._value << 1))
 
-    # -- dunders -------------------------------------------------------
-
     def __len__(self) -> int:
         return self._length
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.bits())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitString):
@@ -181,5 +103,7 @@ class BitString:
 
     def __repr__(self) -> str:
         if self._length <= 80:
-            return f"BitString({self.to_binstr()!r})"
+            # bit 1 first; the leading 1 keeps the zero-length string empty
+            bits = format(self.to_int() | 1 << self._length, "b")[1:]
+            return f"BitString({bits!r})"
         return f"BitString(length={self._length})"

@@ -82,6 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=None, metavar="INT",
                    help="derive the key deterministically from this seed "
                    "instead of the system RNG (keys of at most 2^33 bits)")
+    p.set_defaults(run=_cmd_keygen)
 
     for name in ("encrypt", "decrypt"):
         p = sub.add_parser(name, help=f"{name} one m-bit message")
@@ -102,6 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            "derived form the advantage bound assumes)")
         p.add_argument("--in", dest="message", required=True, metavar="HEX",
                        help="message as big-endian hex of at most M bits")
+        p.set_defaults(run=_cmd_crypt)
 
     p = sub.add_parser("bounds", help="print advantage bounds")
     _add_bound_args(p)
@@ -115,6 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    "instead of solving h(p) = z to 1e-12")
     p.add_argument("--terms", action="store_true",
                    help="also print the four terms the upper bound sums")
+    p.set_defaults(run=_cmd_bounds)
 
     p = sub.add_parser("curve", help="emit the leading-terms bound curve as CSV")
     _add_bound_args(p)
@@ -129,6 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="number of log-spaced points")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="CSV destination (default: stdout)")
+    p.set_defaults(run=_cmd_curve)
 
     p = sub.add_parser("verify", help="run brute-force verification suites")
     group = p.add_mutually_exclusive_group(required=True)
@@ -147,6 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    "(default 10^4)")
     p.add_argument("--json", default=None, metavar="PATH",
                    help="also write a machine-readable summary")
+    p.set_defaults(run=_cmd_verify)
     return parser
 
 
@@ -214,7 +219,7 @@ def _cmd_keygen(args) -> int:
     return 0
 
 
-def _cmd_crypt(args, forward: bool) -> int:
+def _cmd_crypt(args) -> int:
     if args.key is None:
         print(f"error: --key not given and ${_ENV_KEY} is unset",
               file=sys.stderr)
@@ -226,11 +231,8 @@ def _cmd_crypt(args, forward: bool) -> int:
             print(f"error: {e}", file=sys.stderr)
             return 1
         message = BitString.from_hex(args.message, args.bits)
-        oracle = Shake256Oracle()
-        if forward:
-            out = thorp.encrypt(message, key, oracle, params)
-        else:
-            out = thorp.decrypt(message, key, oracle, params)
+        crypt = thorp.encrypt if args.command == "encrypt" else thorp.decrypt
+        out = crypt(message, key, Shake256Oracle(), params)
     print(out.to_hex())
     return 0
 
@@ -314,22 +316,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 1
     try:
-        if args.command == "keygen":
-            return _cmd_keygen(args)
-        if args.command == "encrypt":
-            return _cmd_crypt(args, forward=True)
-        if args.command == "decrypt":
-            return _cmd_crypt(args, forward=False)
-        if args.command == "bounds":
-            return _cmd_bounds(args)
-        if args.command == "curve":
-            return _cmd_curve(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
+        return args.run(args)
     except (bigkey.KeyFileError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

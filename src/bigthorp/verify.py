@@ -374,7 +374,7 @@ def bias_estimate(
             raise ValueError(
                 f"conditioning needs key size <= {_MAX_FIBER_BITS} bits"
             )
-        x0 = sum(key.get_bit(i) << (i - 1) for i in range(1, key.n_bits + 1))
+        x0 = int.from_bytes(key._buf, "little")  # padding bits are zero
         fiber = lt.fiber(int(lt.table[x0]))
         by_set = _agreeing_pairs(fiber, lt.n0)[::-1] / fiber.size**2
 
@@ -415,6 +415,13 @@ def bias_estimate(
 # suites
 
 
+def _worst_row(name, count, worst, rhs, ok, note, empty="nothing was sampled"):
+    """A row for the worst case over ``count`` samples: with none it checked
+    nothing, so it fails and its note says so."""
+    return CheckResult(name, worst, rhs, count > 0 and ok,
+                       note if count else empty)
+
+
 def run_parseval_suite(max_n: int = 10, per_n: int = 500,
                        seed: int = 101) -> List[CheckResult]:
     results = []
@@ -433,10 +440,9 @@ def run_parseval_suite(max_n: int = 10, per_n: int = 500,
         for _ in range(per_n):
             lhs, rhs = parseval_check(DistributionTable.random(n, rng))
             worst = max(worst, abs(lhs - rhs))
-        results.append(CheckResult(
-            f"parseval/random-n{n}", worst, 1e-12, worst <= 1e-12,
-            f"worst |lhs-rhs| over {per_n} random distributions",
-        ))
+        results.append(_worst_row(
+            f"parseval/random-n{n}", per_n, worst, 1e-12, worst <= 1e-12,
+            f"worst |lhs-rhs| over {per_n} random distributions"))
     return results
 
 
@@ -463,16 +469,12 @@ def run_fiber_entropy_suite(count: int = 100, n0: int = 10, l0: int = 3,
         r = leakage_entropy_check(LeakageTable.random(n0, l0, rng), tail_m)
         min_mean = min(min_mean, r.mean_fiber_entropy)
         max_tail = max(max_tail, r.tail_prob)
-    results.append(CheckResult(
-        "fiber-entropy/random-mean", min_mean, float(n0 - l0),
-        min_mean >= n0 - l0,
-        f"worst mean fiber entropy over {count} random maps",
-    ))
-    results.append(CheckResult(
-        "fiber-entropy/random-tail", max_tail, 2.0 ** (-tail_m),
-        max_tail <= 2.0 ** (-tail_m),
-        f"worst tail probability at offset {tail_m}",
-    ))
+    results.append(_worst_row(
+        "fiber-entropy/random-mean", count, min_mean, float(n0 - l0),
+        min_mean >= n0 - l0, f"worst mean fiber entropy over {count} random maps"))
+    results.append(_worst_row(
+        "fiber-entropy/random-tail", count, max_tail, 2.0 ** (-tail_m),
+        max_tail <= 2.0 ** (-tail_m), f"worst tail probability at offset {tail_m}"))
     return results
 
 
@@ -497,10 +499,9 @@ def run_decomposition_suite(count: int = 100, n0: int = 8,
         elems = rng.choice(1 << n0, size=size, replace=False)
         s, e = decomposition_check(elems, n0)
         worst_margin = min(worst_margin, s - e)
-    results.append(CheckResult(
-        "decomposition/random", worst_margin, -1e-12, worst_margin >= -1e-12,
-        f"worst (bit entropy sum - log2|S|) over {count} random subsets",
-    ))
+    results.append(_worst_row(
+        "decomposition/random", count, worst_margin, -1e-12, worst_margin >= -1e-12,
+        f"worst (bit entropy sum - log2|S|) over {count} random subsets"))
     return results
 
 
@@ -541,13 +542,12 @@ def run_collision_suite(n0: int = 8, ks: Sequence[int] = (1, 2, 3),
                     continue
                 checked += 1
                 worst_excess = max(worst_excess, res.expected_g - res.bound)
-        note = (f"worst (expected_g - bound) over {checked} fibers" if checked
-                else "no fiber lay in the bound's domain")
-        results.append(CheckResult(
-            f"collision/random-k{k}", worst_excess, 1e-12,
-            checked > 0 and worst_excess <= 1e-12,
-            note + (f", {skipped} invalid-domain skipped" if skipped else ""),
-        ))
+        skips = f", {skipped} invalid-domain skipped" if skipped else ""
+        results.append(_worst_row(
+            f"collision/random-k{k}", checked, worst_excess, 1e-12,
+            worst_excess <= 1e-12,
+            f"worst (expected_g - bound) over {checked} fibers" + skips,
+            "no fiber lay in the bound's domain" + skips))
     return results
 
 

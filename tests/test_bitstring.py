@@ -1,4 +1,4 @@
-"""Packing convention, codecs and structural ops of BitString."""
+"""Codecs and structural ops of BitString."""
 
 import random
 
@@ -7,94 +7,29 @@ import pytest
 from bigthorp import BitString
 
 
-def test_packing_bit_positions():
-    # bit i lives at position (i-1) % 8 of byte (i-1) // 8
-    b = BitString.from_bytes(b"\x05", 3)
-    assert b.bits() == (1, 0, 1)
-    assert (b.get_bit(1), b.get_bit(2), b.get_bit(3)) == (1, 0, 1)
-    assert b.to_bytes() == b"\x05"
-
-
-def test_packing_spans_byte_boundary():
-    b = BitString.from_bytes(bytes([0b10000000, 0b00000001]), 9)
-    assert b.get_bit(8) == 1
-    assert b.get_bit(9) == 1
-    assert sum(b.bits()) == 2
-
-
-def test_constructor_accepts_binary_string_and_ints():
-    assert BitString("101").bits() == (1, 0, 1)
-    assert BitString([1, 0, 1]) == BitString("101")
-    assert BitString(()).to_bytes() == b""
-    assert len(BitString("")) == 0
-    with pytest.raises(ValueError):
-        BitString("102")
-    with pytest.raises(ValueError):
-        BitString([2])
-
-
-def test_zeros():
-    z = BitString.zeros(10)
-    assert len(z) == 10
-    assert all(bit == 0 for bit in z)
-    with pytest.raises(ValueError):
-        BitString.zeros(-1)
-
-
-def test_from_bytes_rejects_dirty_padding():
-    # 3-bit string must leave positions 4..8 of its byte clear
-    with pytest.raises(ValueError):
-        BitString.from_bytes(b"\x08", 3)
-    BitString.from_bytes(b"\x07", 3)  # all three bits set is fine
-
-
-def test_from_bytes_rejects_wrong_length():
-    with pytest.raises(ValueError):
-        BitString.from_bytes(b"\x00\x00", 3)
-    with pytest.raises(ValueError):
-        BitString.from_bytes(b"", 3)
-
-
-def test_bytes_round_trip_random():
-    rng = random.Random(42)
-    for _ in range(200):
-        length = rng.randrange(0, 70)
-        bits = [rng.randrange(2) for _ in range(length)]
-        b = BitString(bits)
-        assert BitString.from_bytes(b.to_bytes(), length) == b
-        assert b.bits() == tuple(bits)
-
-
-def test_get_bit_out_of_range():
-    b = BitString("101")
-    for i in (0, -1, 4):
-        with pytest.raises(IndexError):
-            b.get_bit(i)
-
-
 def test_split_lr():
-    left, rest = BitString("101").split_lr()
+    left, rest = BitString.from_int(0b101, 3).split_lr()
     assert left == 1
-    assert rest == BitString("01")
+    assert rest == BitString.from_int(0b01, 2)
     with pytest.raises(ValueError):
-        BitString("1").split_lr()
+        BitString.from_int(0b1, 1).split_lr()
     with pytest.raises(ValueError):
-        BitString("").split_lr()
+        BitString.from_int(0, 0).split_lr()
 
 
 def test_split_last():
-    head, last = BitString("101").split_last()
-    assert head == BitString("10")
+    head, last = BitString.from_int(0b101, 3).split_last()
+    assert head == BitString.from_int(0b10, 2)
     assert last == 1
     with pytest.raises(ValueError):
-        BitString("").split_last()
+        BitString.from_int(0, 0).split_last()
 
 
 def test_split_concat_inverse_random():
     rng = random.Random(7)
     for _ in range(200):
         length = rng.randrange(2, 64)
-        b = BitString([rng.randrange(2) for _ in range(length)])
+        b = BitString.from_int(rng.getrandbits(length), length)
         left, rest = b.split_lr()
         assert rest.prepend_bit(left) == b
         head, last = b.split_last()
@@ -104,18 +39,17 @@ def test_split_concat_inverse_random():
 def test_hex_codec_big_endian():
     # hex is big-endian: bit 1 of the parsed string is the MSB of the value
     b = BitString.from_hex("6", 3)
-    assert b.to_binstr() == "110"
-    assert b.to_bytes() == b"\x03"
+    assert b.split_lr() == (1, BitString.from_int(0b10, 2))
     assert b.to_hex() == "6"
     assert BitString.from_hex("0a", 8).to_hex() == "0a"
     assert BitString.from_hex("A", 4) == BitString.from_hex("a", 4)
 
 
 def test_hex_width_is_ceil_of_quarter_length():
-    assert BitString.zeros(5).to_hex() == "00"
-    assert BitString.zeros(12).to_hex() == "000"
-    assert BitString("").to_hex() == ""
-    assert BitString.from_hex("", 0) == BitString.zeros(0)
+    assert BitString.from_int(0, 5).to_hex() == "00"
+    assert BitString.from_int(0, 12).to_hex() == "000"
+    assert BitString.from_int(0, 0).to_hex() == ""
+    assert BitString.from_hex("", 0) == BitString.from_int(0, 0)
 
 
 def test_hex_rejects_values_too_wide():
@@ -147,23 +81,33 @@ def test_from_int_range():
         BitString.from_int(8, 3)
     with pytest.raises(ValueError):
         BitString.from_int(-1, 3)
-    assert BitString.from_int(0, 0) == BitString("")
+    with pytest.raises(ValueError):
+        BitString.from_int(0, -1)
+    assert len(BitString.from_int(0, 0)) == 0
 
 
 def test_equality_and_hash():
-    assert BitString("01") == BitString([0, 1])
-    assert BitString("01") != BitString("010")
-    assert BitString("01") != "01"
-    d = {BitString("01"): 1}
-    assert d[BitString([0, 1])] == 1
+    assert BitString.from_int(0b01, 2) == BitString.from_hex("1", 2)
+    assert BitString.from_int(0b01, 2) != BitString.from_int(0b010, 3)
+    assert BitString.from_int(0b01, 2) != "01"
+    d = {BitString.from_int(0b01, 2): 1}
+    assert d[BitString.from_hex("1", 2)] == 1
 
 
 def test_repr_small_and_large():
-    assert "101" in repr(BitString("101"))
-    assert "length=200" in repr(BitString.zeros(200))
+    # bit 1 first, as the string reads
+    assert repr(BitString.from_int(0b101, 3)) == "BitString('101')"
+    assert repr(BitString.from_int(0b0110, 4)) == "BitString('0110')"
+    assert repr(BitString.from_int(0, 0)) == "BitString('')"
+    assert repr(BitString.from_int(0, 200)) == "BitString(length=200)"
 
 
 def test_immutability_via_slots():
-    b = BitString("101")
+    b = BitString.from_int(0b101, 3)
     with pytest.raises(AttributeError):
         b.extra = 1
+    # the class methods are the only way in: no direct or empty construction
+    with pytest.raises(TypeError):
+        BitString("101")
+    with pytest.raises(TypeError):
+        BitString()

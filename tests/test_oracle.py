@@ -20,12 +20,12 @@ from bigthorp import (
 )
 
 
-def q(tag=PROBE_TAG, round=1, msg_bits=5, r="0000"):
-    return OracleQuery(tag, round, msg_bits, BitString(r))
+def q(tag=PROBE_TAG, round=1, msg_bits=5, r=0b0000):
+    return OracleQuery(tag, round, msg_bits, BitString.from_int(r, 4))
 
 
 def test_query_serialization_layout():
-    query = OracleQuery(PROBE_TAG, 3, 5, BitString("0110"))
+    query = OracleQuery(PROBE_TAG, 3, 5, BitString.from_int(0b0110, 4))
     # r value big-endian: bits 0,1,1,0 read MSB-first = 6
     expected = b"\x01" + (3).to_bytes(8, "big") + (5).to_bytes(2, "big") + b"\x06"
     assert query.to_bytes() == expected
@@ -33,7 +33,7 @@ def test_query_serialization_layout():
 
 
 def test_query_serialization_widths():
-    wide = OracleQuery(KEYGEN_TAG, 2**64 - 1, 17, BitString.zeros(16))
+    wide = OracleQuery(KEYGEN_TAG, 2**64 - 1, 17, BitString.from_int(0, 16))
     body = wide.to_bytes()
     assert body[0] == KEYGEN_TAG
     assert body[1:9] == b"\xff" * 8
@@ -43,15 +43,15 @@ def test_query_serialization_widths():
 
 def test_query_validation():
     with pytest.raises(ValueError):
-        OracleQuery(256, 1, 5, BitString.zeros(4))
+        OracleQuery(256, 1, 5, BitString.from_int(0, 4))
     with pytest.raises(ValueError):
-        OracleQuery(PROBE_TAG, -1, 5, BitString.zeros(4))
+        OracleQuery(PROBE_TAG, -1, 5, BitString.from_int(0, 4))
     with pytest.raises(ValueError):
-        OracleQuery(PROBE_TAG, 2**64, 5, BitString.zeros(4))
+        OracleQuery(PROBE_TAG, 2**64, 5, BitString.from_int(0, 4))
     with pytest.raises(ValueError):
-        OracleQuery(PROBE_TAG, 1, 0, BitString(""))
+        OracleQuery(PROBE_TAG, 1, 0, BitString.from_int(0, 0))
     with pytest.raises(ValueError):
-        OracleQuery(PROBE_TAG, 1, 5, BitString.zeros(3))  # wrong r width
+        OracleQuery(PROBE_TAG, 1, 5, BitString.from_int(0, 3))  # wrong r width
 
 
 def test_query_serialization_injective_random():
@@ -63,7 +63,7 @@ def test_query_serialization_injective_random():
             rng.randrange(256),
             rng.randrange(2**64),
             msg_bits,
-            BitString([rng.randrange(2) for _ in range(msg_bits - 1)]),
+            BitString.from_int(rng.getrandbits(msg_bits - 1), msg_bits - 1),
         )
         body = query.to_bytes()
         assert seen.setdefault(body, query) == query
@@ -83,7 +83,7 @@ def test_shake_streams_differ_across_queries():
     a = o.stream(q(round=1), 64)
     b = o.stream(q(round=2), 64)
     c = o.stream(q(tag=KEYGEN_TAG), 64)
-    d = o.stream(q(r="0001"), 64)
+    d = o.stream(q(r=0b0001), 64)
     assert len({a, b, c, d}) == 4
 
 

@@ -36,7 +36,7 @@ def params_for(n_bits, msg_bits=5, num_probes=3, rounds=9):
 
 def probe_query(params, round_index=1, r=None):
     if r is None:
-        r = BitString.zeros(params.msg_bits - 1)
+        r = BitString.from_int(0, params.msg_bits - 1)
     return OracleQuery(PROBE_TAG, round_index, params.msg_bits, r)
 
 
@@ -87,11 +87,11 @@ def test_params_validation():
 
 
 def test_probe_draw_validation_and_indices():
-    draw = ProbeDraw((4, 9, 2), BitString("101"))
-    assert draw.subset_mask == BitString("101")
-    assert ProbeDraw((), BitString("")).subset_mask == BitString("")
+    draw = ProbeDraw((4, 9, 2), BitString.from_int(0b101, 3))
+    assert draw.subset_mask == BitString.from_int(0b101, 3)
+    assert ProbeDraw((), BitString.from_int(0, 0)).subset_mask == BitString.from_int(0, 0)
     with pytest.raises(ValueError):
-        ProbeDraw((1, 2), BitString("1"))
+        ProbeDraw((1, 2), BitString.from_int(0b1, 1))
 
 
 # -- probe decoding ---------------------------------------------------------
@@ -101,19 +101,19 @@ def test_decode_rule_on_scripted_words():
     p = params_for(16)
     script = words(0, 1, 2) + b"\x05"  # mask bits 1 and 3
     oracle = ScriptedOracle(scripts={probe_query(p): script})
-    draw = derive_probes(oracle, BitString.zeros(4), 1, p)
+    draw = derive_probes(oracle, BitString.from_int(0, 4), 1, p)
     assert draw.probes == (1, 2, 3)
-    assert draw.subset_mask == BitString("101")
+    assert draw.subset_mask == BitString.from_int(0b101, 3)
 
 
 def test_decode_wraps_modulo_n():
     p = params_for(16)
     script = words(16, 17, 2**64 - 1) + b"\x00"
     oracle = ScriptedOracle(scripts={probe_query(p): script})
-    draw = derive_probes(oracle, BitString.zeros(4), 1, p)
+    draw = derive_probes(oracle, BitString.from_int(0, 4), 1, p)
     # 16 % 16 + 1 = 1, 17 % 16 + 1 = 2, (2^64-1) % 16 + 1 = 16
     assert draw.probes == (1, 2, 16)
-    assert draw.subset_mask == BitString("000")
+    assert draw.subset_mask == BitString.from_int(0b000, 3)
 
 
 def test_rejection_skips_out_of_band_words():
@@ -122,16 +122,16 @@ def test_rejection_skips_out_of_band_words():
     p = CipherParams(n_bits=3, msg_bits=5, num_probes=1, rounds=9)
     script = words(2**64 - 1, 4) + b"\x01"
     oracle = ScriptedOracle(scripts={probe_query(p): script})
-    draw = derive_probes(oracle, BitString.zeros(4), 1, p)
+    draw = derive_probes(oracle, BitString.from_int(0, 4), 1, p)
     assert draw.probes == (2,)  # 4 % 3 + 1
-    assert draw.subset_mask == BitString("1")
+    assert draw.subset_mask == BitString.from_int(0b1, 1)
 
 
 def test_power_of_two_n_never_rejects():
     p = CipherParams(n_bits=16, msg_bits=5, num_probes=2, rounds=9)
     script = words(2**64 - 1, 2**64 - 2) + b"\x00"
     oracle = ScriptedOracle(scripts={probe_query(p): script})
-    draw = derive_probes(oracle, BitString.zeros(4), 1, p)
+    draw = derive_probes(oracle, BitString.from_int(0, 4), 1, p)
     assert draw.probes == (16, 15)
 
 
@@ -139,7 +139,7 @@ def test_rejection_cap_raises():
     p = CipherParams(n_bits=3, msg_bits=5, num_probes=1, rounds=9)
     oracle = ScriptedOracle(default_script=b"\xff" * (8 * 1100))
     with pytest.raises(RuntimeError):
-        derive_probes(oracle, BitString.zeros(4), 1, p)
+        derive_probes(oracle, BitString.from_int(0, 4), 1, p)
 
 
 def test_stream_extension_preserves_prefix_decoding():
@@ -147,17 +147,17 @@ def test_stream_extension_preserves_prefix_decoding():
     p = CipherParams(n_bits=3, msg_bits=5, num_probes=2, rounds=9)
     script = words(*([2**64 - 1] * 10), 4, 5) + b"\x03"
     oracle = ScriptedOracle(scripts={probe_query(p): script})
-    draw = derive_probes(oracle, BitString.zeros(4), 1, p)
+    draw = derive_probes(oracle, BitString.from_int(0, 4), 1, p)
     assert draw.probes == (2, 3)  # 4 % 3 + 1, 5 % 3 + 1
-    assert draw.subset_mask == BitString("11")
+    assert draw.subset_mask == BitString.from_int(0b11, 2)
 
 
 def test_subset_mask_high_bits_dropped():
     p = params_for(16)
     script = words(0, 0, 0) + b"\xff"
     oracle = ScriptedOracle(scripts={probe_query(p): script})
-    draw = derive_probes(oracle, BitString.zeros(4), 1, p)
-    assert draw.subset_mask == BitString("111")
+    draw = derive_probes(oracle, BitString.from_int(0, 4), 1, p)
+    assert draw.subset_mask == BitString.from_int(0b111, 3)
 
 
 def test_probes_always_in_range_production():
@@ -165,7 +165,7 @@ def test_probes_always_in_range_production():
     oracle = Shake256Oracle()
     rng = random.Random(31)
     for _ in range(200):
-        r = BitString([rng.randrange(2) for _ in range(5)])
+        r = BitString.from_int(rng.getrandbits(5), 5)
         draw = derive_probes(oracle, r, rng.randrange(1, 100), p)
         assert len(draw.probes) == 7
         assert all(1 <= probe <= 10 for probe in draw.probes)
@@ -180,7 +180,7 @@ def test_probe_positions_roughly_uniform():
     counts = {i: 0 for i in range(1, 6)}
     trials = 5000
     for round_index in range(1, trials + 1):
-        draw = derive_probes(oracle, BitString.zeros(4), round_index, p)
+        draw = derive_probes(oracle, BitString.from_int(0, 4), round_index, p)
         counts[draw.probes[0]] += 1
     expected = trials / 5
     sigma = (trials * 0.2 * 0.8) ** 0.5
@@ -192,9 +192,9 @@ def test_derive_probes_argument_checks():
     p = params_for(16)
     oracle = Shake256Oracle()
     with pytest.raises(ValueError):
-        derive_probes(oracle, BitString.zeros(4), 0, p)
+        derive_probes(oracle, BitString.from_int(0, 4), 0, p)
     with pytest.raises(ValueError):
-        derive_probes(oracle, BitString.zeros(3), 1, p)
+        derive_probes(oracle, BitString.from_int(0, 3), 1, p)
 
 
 # -- the PRF bit ------------------------------------------------------------
@@ -214,7 +214,7 @@ def test_prf_bit_xors_selected_key_bits():
     ]
     for mask, expected in cases:
         oracle = ScriptedOracle(scripts={probe_query(p): words(0, 1, 2) + mask})
-        assert round_bit(key, oracle, BitString.zeros(4), 1, p) == expected
+        assert round_bit(key, oracle, BitString.from_int(0, 4), 1, p) == expected
 
 
 def test_empty_subset_forced_globally():
@@ -225,14 +225,14 @@ def test_empty_subset_forced_globally():
     oracle = ScriptedOracle(default_script=b"")
     rng = random.Random(3)
     for _ in range(50):
-        r = BitString([rng.randrange(2) for _ in range(5)])
+        r = BitString.from_int(rng.getrandbits(5), 5)
         assert round_bit(key, oracle, r, rng.randrange(1, 50), p) == 0
 
 
 def test_prf_deterministic_across_backend_instances():
     key = BigKey.generate(32, b"\xde\xad\xbe\xef")
     p = CipherParams(n_bits=32, msg_bits=7, num_probes=4, rounds=13)
-    r = BitString("110100")
+    r = BitString.from_int(0b110100, 6)
     a = round_bit(key, Shake256Oracle(), r, 5, p)
     b = round_bit(key, Shake256Oracle(), r, 5, p)
     assert a == b
@@ -244,12 +244,12 @@ def test_prf_key_params_mismatch():
     p = CipherParams(n_bits=32, msg_bits=5, num_probes=3, rounds=9)
     for staged_round in (round_forward, round_backward):
         with pytest.raises(ValueError):
-            staged_round(BitString.zeros(5), 1, key, Shake256Oracle(), p)
+            staged_round(BitString.from_int(0, 5), 1, key, Shake256Oracle(), p)
 
 
 def test_draw_bit_matches_manual_xor():
     key = BigKey.generate(16, b"\x4d\x80")
-    draw = ProbeDraw((1, 16, 3, 3), BitString("1101"))
+    draw = ProbeDraw((1, 16, 3, 3), BitString.from_int(0b1101, 4))
     # bits: key[1]=1, key[16]=1, key[3]=1 (skipped), key[3]=1
     assert draw_bit(key, draw) == (1 ^ 1 ^ 1)
 
@@ -267,7 +267,7 @@ def test_prf_small_sample_unbiased():
         if pair in seen:
             continue
         seen.add(pair)
-        r = BitString.from_bytes(pair[0].to_bytes(2, "little"), 11)
+        r = BitString.from_int(pair[0], 11)
         ones += round_bit(key, oracle, r, pair[1], p)
     assert abs(ones / trials - 0.5) <= 4 * (0.25 / trials) ** 0.5
 

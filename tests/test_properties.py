@@ -54,9 +54,7 @@ def test_decrypt_inverts_encrypt(width, probes, rounds, oracle_seed, data):
 def test_bitstring_codecs_round_trip(bits):
     n = len(bits)
     assert BitString.from_int(bits.to_int(), n) == bits
-    assert BitString.from_bytes(bits.to_bytes(), n) == bits
     assert BitString.from_hex(bits.to_hex(), n) == bits
-    assert BitString(bits.bits()) == bits
 
 
 def _corrupted(raw, header):

@@ -31,15 +31,11 @@ def one_prf_setup():
     return key, oracle
 
 
-def msg(value, m):
-    return BitString.from_bytes(value.to_bytes((m + 7) // 8, "little"), m)
-
-
 def test_single_round_rotation_with_zero_prf():
     key = BigKey.generate(64, seed_randomness(8, 1))
     p = CipherParams(n_bits=64, msg_bits=3, num_probes=4, rounds=1)
-    out = encrypt(BitString("101"), key, zero_prf_oracle(), p)
-    assert out == BitString("011")
+    out = encrypt(BitString.from_int(0b101, 3), key, zero_prf_oracle(), p)
+    assert out == BitString.from_int(0b011, 3)
 
 
 def test_m_rounds_of_rotation_are_identity():
@@ -47,7 +43,7 @@ def test_m_rounds_of_rotation_are_identity():
     for m in (3, 5, 8):
         p = CipherParams(n_bits=64, msg_bits=m, num_probes=4, rounds=m)
         for value in range(1 << m):
-            x = msg(value, m)
+            x = BitString.from_int(value, m)
             assert encrypt(x, key, zero_prf_oracle(), p) == x
 
 
@@ -56,14 +52,15 @@ def test_single_round_with_forced_one_prf():
     key, oracle = one_prf_setup()
     p = CipherParams(n_bits=8, msg_bits=2, num_probes=1, rounds=1)
     table = {
-        "00": "01",
-        "01": "11",
-        "10": "00",
-        "11": "10",
+        0b00: 0b01,
+        0b01: 0b11,
+        0b10: 0b00,
+        0b11: 0b10,
     }
     for x, y in table.items():
-        assert encrypt(BitString(x), key, oracle, p) == BitString(y)
-        assert decrypt(BitString(y), key, oracle, p) == BitString(x)
+        x, y = BitString.from_int(x, 2), BitString.from_int(y, 2)
+        assert encrypt(x, key, oracle, p) == y
+        assert decrypt(y, key, oracle, p) == x
 
 
 def test_round_backward_inverts_round_forward():
@@ -72,7 +69,7 @@ def test_round_backward_inverts_round_forward():
     p = CipherParams(n_bits=64, msg_bits=8, num_probes=16, rounds=15)
     rng = random.Random(4)
     for _ in range(50):
-        x = BitString([rng.randrange(2) for _ in range(8)])
+        x = BitString.from_int(rng.getrandbits(8), 8)
         for r in (1, 7, 15):
             y = round_forward(x, r, key, oracle, p)
             assert round_backward(y, r, key, oracle, p) == x
@@ -82,10 +79,11 @@ def test_encrypt_is_bijection_small_domain():
     key = BigKey.generate(64, seed_randomness(8, 3))
     oracle = ScriptedOracle(seed=2)
     p = CipherParams.from_passes(64, 4, 16, 1)
-    images = {encrypt(msg(v, 4), key, oracle, p).to_bytes() for v in range(16)}
+    images = {encrypt(BitString.from_int(v, 4), key, oracle, p).to_int()
+              for v in range(16)}
     assert len(images) == 16
     for v in range(16):
-        x = msg(v, 4)
+        x = BitString.from_int(v, 4)
         assert decrypt(encrypt(x, key, oracle, p), key, oracle, p) == x
 
 
@@ -93,7 +91,7 @@ def test_zero_rounds_is_identity():
     key = BigKey.generate(64, seed_randomness(8, 4))
     oracle = Shake256Oracle()
     p = CipherParams(n_bits=64, msg_bits=6, num_probes=8, rounds=0)
-    x = BitString("110010")
+    x = BitString.from_int(0b110010, 6)
     assert encrypt(x, key, oracle, p) == x
     assert decrypt(x, key, oracle, p) == x
 
@@ -104,7 +102,7 @@ def test_wide_message_round_trips():
     p = CipherParams(n_bits=1 << 20, msg_bits=128, num_probes=4, rounds=8)
     rng = random.Random(21)
     for _ in range(1000):
-        x = msg(rng.getrandbits(128), 128)
+        x = BitString.from_int(rng.getrandbits(128), 128)
         assert decrypt(encrypt(x, key, oracle, p), key, oracle, p) == x
 
 
@@ -114,7 +112,7 @@ def test_decrypt_then_encrypt_round_trips():
     p = CipherParams(n_bits=1 << 12, msg_bits=64, num_probes=4, rounds=8)
     rng = random.Random(22)
     for _ in range(200):
-        y = msg(rng.getrandbits(64), 64)
+        y = BitString.from_int(rng.getrandbits(64), 64)
         assert encrypt(decrypt(y, key, oracle, p), key, oracle, p) == y
 
 
@@ -124,7 +122,7 @@ def test_ciphertexts_preserve_format():
     p = CipherParams.from_passes(64, 11, 8, 1)
     rng = random.Random(9)
     for _ in range(20):
-        x = BitString([rng.randrange(2) for _ in range(11)])
+        x = BitString.from_int(rng.getrandbits(11), 11)
         assert len(encrypt(x, key, oracle, p)) == 11
 
 
@@ -132,13 +130,13 @@ def test_state_width_must_match_params():
     key = BigKey.generate(64, seed_randomness(8, 5))
     p = CipherParams(n_bits=64, msg_bits=8, num_probes=4, rounds=3)
     with pytest.raises(ValueError):
-        encrypt(BitString("101"), key, Shake256Oracle(), p)
+        encrypt(BitString.from_int(0b101, 3), key, Shake256Oracle(), p)
     with pytest.raises(ValueError):
-        decrypt(BitString.zeros(9), key, Shake256Oracle(), p)
+        decrypt(BitString.from_int(0, 9), key, Shake256Oracle(), p)
 
 
 def test_key_width_must_match_params():
     key = BigKey.generate(32, b"\x00" * 4)
     p = CipherParams(n_bits=64, msg_bits=8, num_probes=4, rounds=3)
     with pytest.raises(ValueError):
-        encrypt(BitString.zeros(8), key, Shake256Oracle(), p)
+        encrypt(BitString.from_int(0, 8), key, Shake256Oracle(), p)

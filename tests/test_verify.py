@@ -552,6 +552,24 @@ def test_collision_suite_fails_a_row_that_checks_no_fiber():
     assert json.loads(text)[-1]["lhs"] is None
 
 
+@pytest.mark.parametrize("suite, kwargs, empty", [
+    (run_parseval_suite, {"max_n": 2, "per_n": 0},
+     ["parseval/random-n1", "parseval/random-n2"]),
+    (run_fiber_entropy_suite, {"count": 0},
+     ["fiber-entropy/random-mean", "fiber-entropy/random-tail"]),
+    (run_decomposition_suite, {"count": 0}, ["decomposition/random"]),
+], ids=["parseval", "fiber-entropy", "decomposition"])
+def test_sampled_rows_that_sampled_nothing_fail(suite, kwargs, empty):
+    # a worst case over no samples checks nothing, so it must not pass;
+    # the fixed rows of the suite are unaffected
+    results = suite(**kwargs)
+    rows = [r for r in results if r.name in empty]
+    assert [r.name for r in rows] == empty
+    assert [(r.passed, r.note) for r in rows] == \
+        [(False, "nothing was sampled")] * len(empty)
+    assert all(r.passed for r in results if r.name not in empty)
+
+
 def test_bias_suite_passes():
     results = run_bias_suite(trials=10**4)
     assert all(r.passed for r in results)
