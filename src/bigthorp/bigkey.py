@@ -16,8 +16,9 @@ Key file layout, all integers big-endian::
     CRC-32 of the header (4 bytes)
 
 Key bits follow the package packing convention (bit i at position
-(i - 1) % 8 of byte (i - 1) // 8); when N is not a multiple of 8 the
-spare positions of the last byte must be zero.  The embedded oracle
+(i - 1) % 8 of byte (i - 1) // 8), as do the ints ``subkey`` returns
+(probe j at bit j - 1); when N is not a multiple of 8 the spare
+positions of the last byte must be zero.  The embedded oracle
 identifier pins which stream backend the key was meant for, and loading
 fails closed on a bad magic, an unknown version, a mismatched identifier,
 a wrong byte count, dirty padding, or a header checksum mismatch.  The
@@ -31,11 +32,11 @@ random pages, and default readahead reads up to megabytes around each
 one; on a key larger than RAM that evicts the pages other probes just
 faulted in.  With 8 MiB readahead, one block at m = k = 64 on a sparse
 2^40-bit key took 16-20 s with default advice and about 30 ms with
-``MADV_RANDOM``.  Saving
-writes a temporary file in the target's directory and renames it over the
-target, so a save never truncates a file that a mapped key is still
-reading.  Another program that truncates a mapped key file in place makes
-reads past the new end fault (SIGBUS); this module never does so.
+``MADV_RANDOM``.  Saving writes a temporary file in the target's
+directory and renames it over the target, so a save never truncates a
+file that a mapped key is still reading.  Another program that
+truncates a mapped key file in place makes reads past the new end fault
+(SIGBUS); this module never does so.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ import tempfile
 import zlib
 from typing import Optional
 
-from .bitstring import BitString
 from .oracle import _U64_MAX, KEYGEN_TAG, OracleQuery, Shake256Oracle
 
 MAGIC = b"BIGK"
@@ -77,7 +77,7 @@ def seed_randomness(n_bytes: int, seed: int) -> bytes:
     from the same oracle family as everything else, under a domain tag that
     the cipher's probe queries never use.
     """
-    query = OracleQuery(KEYGEN_TAG, seed, 1, BitString.from_int(0, 0))
+    query = OracleQuery(KEYGEN_TAG, seed, 1, 0)
     return Shake256Oracle().stream(query, n_bytes)
 
 
@@ -134,7 +134,7 @@ class BigKey:
     ``close`` releases.
     """
 
-    def __init__(self, n_bits: int, buf, oracle_id: str = "shake256"):
+    def __init__(self, n_bits: int, buf, oracle_id: str = Shake256Oracle.identifier):
         if not _MIN_BITS <= n_bits <= _U64_MAX:
             raise ValueError(f"key size {n_bits} out of range {_MIN_BITS}..2^64-1")
         needed = (n_bits + 7) // 8
@@ -151,7 +151,8 @@ class BigKey:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def generate(cls, n_bits: int, randomness, oracle_id: str = "shake256") -> "BigKey":
+    def generate(cls, n_bits: int, randomness,
+                 oracle_id: str = Shake256Oracle.identifier) -> "BigKey":
         """Fill a key from caller-supplied randomness.
 
         ``randomness`` is a bytes-like object of at least ceil(n_bits / 8)
@@ -173,7 +174,7 @@ class BigKey:
     def load(
         cls,
         path,
-        expected_oracle: Optional[str] = "shake256",
+        expected_oracle: Optional[str] = Shake256Oracle.identifier,
         in_memory: bool = False,
     ) -> "BigKey":
         """Open a key file, validating every header field before use.
@@ -240,16 +241,15 @@ class BigKey:
             raise IndexError(f"key bit index {i} out of range 1..{self.n_bits}")
         return self._buf[(i - 1) >> 3] >> ((i - 1) & 7) & 1
 
-    def subkey(self, probes) -> BitString:
-        """Read the probed bits, in order, repeats included."""
+    def subkey(self, probes) -> int:
+        """The probed bits, repeats included, packed: probe j is bit j - 1."""
         buf, n = self._buf, self.n_bits
-        value = length = 0
-        for p in probes:
+        value = 0
+        for j, p in enumerate(probes):
             if not 1 <= p <= n:
                 raise IndexError(f"probe {p} out of range 1..{n}")
-            value |= (buf[(p - 1) >> 3] >> ((p - 1) & 7) & 1) << length
-            length += 1
-        return BitString._make(length, value)
+            value |= (buf[(p - 1) >> 3] >> ((p - 1) & 7) & 1) << j
+        return value
 
     def close(self):
         """Release a mapped key's view, then its mapping; again is a no-op."""

@@ -1,19 +1,16 @@
 """Fixed-length bit strings: the message codec and the staged round's state.
 
-Messages cross the API boundary as big-endian values (bit 1 is the most
-significant bit) through ``from_int``/``to_int`` and ``from_hex``/``to_hex``.
-Inside, bit ``i`` sits at position ``i - 1`` of a packed integer, the order
-of key files and oracle subset masks; the staged round
-(``thorp.round_forward``/``round_backward``) works on it through
+A bit string of length L holds its big-endian value: bit 1 is the most
+significant bit and bit L the least.  Messages cross the API boundary
+through ``from_int``/``to_int`` and ``from_hex``/``to_hex``; the staged
+round (``thorp.round_forward``/``round_backward``) works on them through
 ``split_lr``, ``split_last``, ``append_bit`` and ``prepend_bit``.
 
 Instances are immutable and built only through the class methods, so bit
 strings are safe to share, hash and use as dict keys.
 """
 
-
-def _reverse_bits(value: int, length: int) -> int:
-    return int(format(value, f"0{length}b")[::-1], 2)
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 class BitString:
@@ -26,7 +23,7 @@ class BitString:
 
     @classmethod
     def _make(cls, length: int, value: int) -> "BitString":
-        """The one constructor: ``value`` holds bit i at position i - 1."""
+        """The one constructor, unchecked: ``value`` is the big-endian value."""
         self = cls.__new__(cls)
         self._length = length
         self._value = value
@@ -39,56 +36,54 @@ class BitString:
             raise ValueError("length must be nonnegative")
         if value < 0 or value >> length:
             raise ValueError(f"value {value} does not fit in {length} bits")
-        return cls._make(length, _reverse_bits(value, length))
+        return cls._make(length, value)
 
     @classmethod
     def from_hex(cls, text: str, length: int) -> "BitString":
+        """Parse a non-empty run of ASCII hex digits (``""`` at length 0)."""
         if length < 0:
             raise ValueError("length must be nonnegative")
         if text == "" and length == 0:  # to_hex() of the empty string
             return cls._make(0, 0)
-        try:
-            value = int(text, 16)
-        except (ValueError, TypeError):
-            raise ValueError(f"invalid hex string {text!r}") from None
-        if value < 0:
-            raise ValueError("hex value must be nonnegative")
+        if not (isinstance(text, str) and text and _HEX_DIGITS.issuperset(text)):
+            raise ValueError(f"invalid hex string {text!r}")
+        value = int(text, 16)
         if value >> length:
             raise ValueError(f"hex value {text!r} does not fit in {length} bits")
-        return cls.from_int(value, length)
+        return cls._make(length, value)
 
     def to_int(self) -> int:
         """Big-endian value of the string: bit 1 is the most significant."""
-        return _reverse_bits(self._value, self._length)
+        return self._value
 
     def to_hex(self) -> str:
         if self._length == 0:
             return ""
         digits = (self._length + 3) // 4
-        return format(self.to_int(), f"0{digits}x")
+        return format(self._value, f"0{digits}x")
 
     def split_lr(self) -> tuple:
         """Split off the first bit: returns ``(bit_1, bits 2..L)``."""
         if self._length < 2:
             raise ValueError("need at least 2 bits to split")
-        return self._value & 1, self._make(self._length - 1, self._value >> 1)
+        top = self._length - 1
+        return self._value >> top, self._make(top, self._value & ((1 << top) - 1))
 
     def split_last(self) -> tuple:
         """Split off the final bit: returns ``(bits 1..L-1, bit_L)``."""
         if self._length < 1:
             raise ValueError("cannot split an empty bit string")
-        head = self._value & ((1 << (self._length - 1)) - 1)
-        return self._make(self._length - 1, head), self._value >> (self._length - 1)
+        return self._make(self._length - 1, self._value >> 1), self._value & 1
 
     def append_bit(self, bit: int) -> "BitString":
         if bit not in (0, 1):
             raise ValueError(f"invalid bit value {bit!r}")
-        return self._make(self._length + 1, self._value | (bit << self._length))
+        return self._make(self._length + 1, self._value << 1 | bit)
 
     def prepend_bit(self, bit: int) -> "BitString":
         if bit not in (0, 1):
             raise ValueError(f"invalid bit value {bit!r}")
-        return self._make(self._length + 1, bit | (self._value << 1))
+        return self._make(self._length + 1, bit << self._length | self._value)
 
     def __len__(self) -> int:
         return self._length
@@ -104,6 +99,6 @@ class BitString:
     def __repr__(self) -> str:
         if self._length <= 80:
             # bit 1 first; the leading 1 keeps the zero-length string empty
-            bits = format(self.to_int() | 1 << self._length, "b")[1:]
+            bits = format(self._value | 1 << self._length, "b")[1:]
             return f"BitString({bits!r})"
         return f"BitString(length={self._length})"

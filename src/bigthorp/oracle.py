@@ -2,8 +2,8 @@
 
 Every randomized choice in the cipher is driven by an extendable output
 stream keyed on a query.  A query names a domain tag, a round number, the
-message width, and the round input, and serializes to a fixed, injective
-byte layout::
+message width, and the round input (the int whose msg_bits - 1 bits are
+its big-endian value), and serializes to a fixed, injective byte layout::
 
     tag (1 byte) || round (8 bytes, big-endian) || msg_bits (2 bytes,
     big-endian) || round input as a big-endian integer in
@@ -32,8 +32,6 @@ import struct
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
-from .bitstring import BitString
-
 PROBE_TAG = 0x01
 KEYGEN_TAG = 0x02
 
@@ -56,12 +54,13 @@ def encode_query(tag: int, round_index: int, msg_bits: int, r_value: int) -> byt
 
 @dataclass(frozen=True)
 class OracleQuery:
-    """One oracle invocation: (tag, round, msg_bits, round input)."""
+    """One oracle invocation: (tag, round, msg_bits, round input), with the
+    (msg_bits - 1)-bit round input given as the big-endian int it encodes."""
 
     tag: int
     round: int
     msg_bits: int
-    r_bits: BitString
+    r_value: int
 
     def __post_init__(self):
         if not 0 <= self.tag <= 0xFF:
@@ -71,14 +70,13 @@ class OracleQuery:
         if not 1 <= self.msg_bits <= _MAX_MSG_BITS:
             raise ValueError(
                 f"msg_bits {self.msg_bits} out of range 1..{_MAX_MSG_BITS}")
-        if len(self.r_bits) != self.msg_bits - 1:
+        if not 0 <= self.r_value < 1 << (self.msg_bits - 1):
             raise ValueError(
-                f"round input has {len(self.r_bits)} bits, expected "
-                f"{self.msg_bits - 1}"
-            )
+                f"round input {self.r_value} out of range "
+                f"0..2^{self.msg_bits - 1} - 1")
 
     def to_bytes(self) -> bytes:
-        return encode_query(self.tag, self.round, self.msg_bits, self.r_bits.to_int())
+        return encode_query(self.tag, self.round, self.msg_bits, self.r_value)
 
 
 class Oracle:
@@ -88,8 +86,6 @@ class Oracle:
     ``len`` of a set are each one atomic operation.  With the GIL no Python
     code runs inside them; free-threaded builds give each set its own lock.
     """
-
-    identifier = "abstract"
 
     def __init__(self):
         self._seen = set()
@@ -136,8 +132,6 @@ class ScriptedOracle(Oracle):
     ``ScriptedOracle(seed=s)`` a deterministic stand-in for a random
     function that is reproducible across processes (unlike ``hash()``).
     """
-
-    identifier = "scripted"
 
     def __init__(
         self,

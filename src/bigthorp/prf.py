@@ -29,7 +29,8 @@ which are reduced by mask when N is a power of two and by ``%`` otherwise.
 ``verify.bias_estimate`` does the same in batches through the numpy kernel
 ``_round_bits``, which fixes rejected rows in place, and numpy is imported
 only when that kernel runs.  The staged ``derive_probes``/``draw_bit`` pair
-reads the key through ``BigKey.subkey``.
+reads the key through ``BigKey.subkey``, which packs the probed bits as
+the mask is packed: probe j at bit j - 1 of an int.
 """
 
 from __future__ import annotations
@@ -97,17 +98,18 @@ def _check_key(key: BigKey, params: CipherParams):
 
 @dataclass(frozen=True)
 class ProbeDraw:
-    """Decoded oracle output for one round-function call."""
+    """Decoded oracle output for one round-function call: the probe
+    positions and the subset mask as a packed int (bit j - 1 selects
+    probe j)."""
 
     probes: Tuple[int, ...]
-    subset_mask: BitString
+    subset_mask: int
 
     def __post_init__(self):
-        if len(self.subset_mask) != len(self.probes):
+        if not 0 <= self.subset_mask < 1 << len(self.probes):
             raise ValueError(
-                f"subset mask has {len(self.subset_mask)} bits for "
-                f"{len(self.probes)} probes"
-            )
+                f"subset mask {self.subset_mask} out of range for "
+                f"{len(self.probes)} probes")
 
 
 def _accept(stream, query, data: bytes, k: int, threshold: int) -> bytes:
@@ -234,17 +236,19 @@ def derive_probes(
     """Decode the probe positions and subset mask for (round, input)."""
     if round_index < 1:
         raise ValueError("round_index must be at least 1")
-    query = OracleQuery(PROBE_TAG, round_index, params.msg_bits, r_bits)
+    if len(r_bits) != params.msg_bits - 1:
+        raise ValueError(
+            f"round input has {len(r_bits)} bits, expected {params.msg_bits - 1}")
+    query = OracleQuery(PROBE_TAG, round_index, params.msg_bits, r_bits.to_int())
     n, k = params.n_bits, params.num_probes
     mask_at = _WORD * k
     data = _accept(oracle.stream, query,
                    oracle.stream(query, mask_at + (k + 7) // 8), k, n * (_B // n))
-    low_k = int.from_bytes(data[mask_at:], "little") & (1 << k) - 1
+    mask = int.from_bytes(data[mask_at:], "little") & (1 << k) - 1
     words = struct.unpack_from(f">{k}Q", data)
-    return ProbeDraw(tuple(w % n + 1 for w in words), BitString._make(k, low_k))
+    return ProbeDraw(tuple(w % n + 1 for w in words), mask)
 
 
 def draw_bit(key: BigKey, draw: ProbeDraw) -> int:
     """XOR of the key bits selected by an already-decoded draw."""
-    sub = key.subkey(draw.probes)
-    return (sub._value & draw.subset_mask._value).bit_count() & 1
+    return (key.subkey(draw.probes) & draw.subset_mask).bit_count() & 1

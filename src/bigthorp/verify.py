@@ -53,7 +53,6 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .bigkey import BigKey, seed_randomness
-from .bitstring import _reverse_bits
 from .bounds import entropy_h, entropy_h_inv
 from .oracle import (
     _U64_MAX, PROBE_TAG, Oracle, ScriptedOracle, Shake256Oracle, encode_query)
@@ -401,9 +400,10 @@ def bias_estimate(
             if (r_value, round_index) in seen:
                 continue
             seen.add((r_value, round_index))
-            # r_value fills the round input from bit 1 up: bit 1 is its low bit
-            queries.append(encode_query(PROBE_TAG, round_index, m,
-                                        _reverse_bits(r_value, m - 1)))
+            # the pinned draw rule: r_value fills the round input from bit 1
+            # up, so the big-endian value encoded is its bit reversal
+            reversed_r = int(format(r_value, f"0{m - 1}b")[::-1], 2)
+            queries.append(encode_query(PROBE_TAG, round_index, m, reversed_r))
         f, words = _round_bits(params, key, stream, queries)
         ones += int(f.sum())
         for term in (0.5 * np.sqrt(mass(words % n))).tolist():

@@ -2,6 +2,8 @@
 
 import mmap
 import os
+import signal
+import subprocess
 import sys
 import threading
 import time
@@ -110,10 +112,11 @@ def test_seed_randomness_is_deterministic_and_seed_sensitive():
 
 def test_subkey_reads_in_order_with_repeats():
     key = BigKey.generate(8, b"\x4d")
-    assert key.subkey((1, 3, 8)) == BitString.from_int(0b110, 3)
-    assert key.subkey((3, 3, 3)) == BitString.from_int(0b111, 3)
-    assert key.subkey((8, 1)) == BitString.from_int(0b01, 2)
-    assert key.subkey(()) == BitString.from_int(0, 0)
+    # probe j's bit is bit j - 1 of the result
+    assert key.subkey((1, 3, 8)) == 0b011
+    assert key.subkey((3, 3, 3)) == 0b111
+    assert key.subkey((8, 1)) == 0b10
+    assert key.subkey(()) == 0
 
 
 def test_subkey_probe_out_of_range():
@@ -328,6 +331,63 @@ def test_failed_save_keeps_the_old_file(tmp_path):
             with pytest.raises(ValueError, match="oracle identifier"):
                 BigKey(64, bytes(8), oracle_id=ident).save(target)
     assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["key.bk"]
+
+
+_KILLED_SAVE = """
+import os, signal, sys
+from bigthorp import BigKey
+
+fd, path, n_bytes = int(sys.argv[1]), sys.argv[2], int(sys.argv[3])
+
+class SlicedStore:
+    # no buffer protocol, so save slices it one chunk at a time
+    def __init__(self, data):
+        self._data = data
+
+    def __len__(self):
+        return len(self._data)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice) and index.start:  # the second chunk
+            os.write(fd, b"!")
+            signal.pause()  # until the parent's SIGKILL
+        return self._data[index]
+
+BigKey(8 * n_bytes, SlicedStore(b"\\xa5" * n_bytes)).save(path)
+"""
+
+
+def test_save_killed_mid_write_keeps_the_old_file(tmp_path):
+    path = tmp_path / "key.bk"
+    old = BigKey.generate(4096, seed_randomness(512, 6))
+    old.save(path)
+    before = path.read_bytes()
+    read_end, write_end = os.pipe()
+    try:
+        child = subprocess.Popen(
+            [sys.executable, "-c", _KILLED_SAVE, str(write_end), str(path),
+             str(3 << 20)], pass_fds=(write_end,))
+        os.close(write_end)
+        try:
+            # the handshake: the child is inside save, past its first chunk
+            assert os.read(read_end, 1) == b"!"
+        finally:
+            child.send_signal(signal.SIGKILL)
+            child.wait(timeout=30)
+    finally:
+        os.close(read_end)
+    assert child.returncode == -signal.SIGKILL
+    assert path.read_bytes() == before
+    with BigKey.load(path, in_memory=True) as loaded:
+        assert (loaded.n_bits, loaded._buf) == (old.n_bits, old._buf)
+    # the killed save leaves its temporary file, which load never reads
+    leftovers = sorted(set(os.listdir(tmp_path)) - {"key.bk"})
+    assert len(leftovers) == 1
+    assert leftovers[0].startswith(".key.bk.") and leftovers[0].endswith(".tmp")
+    with pytest.raises(KeyFileError):
+        BigKey.load(tmp_path / leftovers[0])
+    os.unlink(tmp_path / leftovers[0])
     assert os.listdir(tmp_path) == ["key.bk"]
 
 

@@ -1,10 +1,12 @@
 """Codecs and structural ops of BitString."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
-from bigthorp import BitString
+from bigthorp import BitString, bitstring
 
 
 def test_split_lr():
@@ -64,6 +66,10 @@ def test_hex_rejects_values_too_wide():
         BitString.from_hex("", 8)
     with pytest.raises(ValueError):
         BitString.from_hex("-5", 8)
+    # only a run of ASCII hex digits: int(text, 16) takes all of these
+    for text in ("0x1f", "1_f", " 1f", "ff\n", "+ff", "-0", "\uff11\uff12"):
+        with pytest.raises(ValueError, match="invalid hex string"):
+            BitString.from_hex(text, 8)
 
 
 def test_hex_round_trip_random():
@@ -111,3 +117,21 @@ def test_immutability_via_slots():
         BitString("101")
     with pytest.raises(TypeError):
         BitString()
+
+
+def test_only_bitstring_sees_its_internals():
+    # other modules pass plain ints in the order their byte formats fix;
+    # they build and read bit strings only through the public codec
+    package = Path(bitstring.__file__).parent
+    stray = []
+    for path in sorted(package.rglob("*.py")):
+        if path == package / "bitstring.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("_make", "_value"):
+                stray.append(f"{path.name}:{node.lineno} .{node.attr}")
+            elif (isinstance(node, ast.ImportFrom)
+                  and (node.module or "").split(".")[-1] == "bitstring"):
+                stray += [f"{path.name}:{node.lineno} imports {alias.name}"
+                          for alias in node.names if alias.name != "BitString"]
+    assert stray == []

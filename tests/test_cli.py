@@ -190,6 +190,8 @@ def test_io_and_format_errors_exit_two(key_path, tmp_path):
     # malformed hex and an overflowing value are format errors, not usage
     assert main(_crypt_args("encrypt", key_path, "zz")) == 2
     assert main(_crypt_args("encrypt", key_path, "1ff", bits="8")) == 2
+    # int(text, 16) would read "0x1f" as 1f; the codec takes hex digits only
+    assert main(_crypt_args("encrypt", key_path, "0x1f")) == 2
 
 
 def test_verify_failure_exits_three(monkeypatch, capsys):

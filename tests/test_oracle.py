@@ -13,7 +13,6 @@ from bigthorp import oracle
 from bigthorp import (
     KEYGEN_TAG,
     PROBE_TAG,
-    BitString,
     OracleQuery,
     ScriptedOracle,
     Shake256Oracle,
@@ -21,11 +20,11 @@ from bigthorp import (
 
 
 def q(tag=PROBE_TAG, round=1, msg_bits=5, r=0b0000):
-    return OracleQuery(tag, round, msg_bits, BitString.from_int(r, 4))
+    return OracleQuery(tag, round, msg_bits, r)
 
 
 def test_query_serialization_layout():
-    query = OracleQuery(PROBE_TAG, 3, 5, BitString.from_int(0b0110, 4))
+    query = OracleQuery(PROBE_TAG, 3, 5, 0b0110)
     # r value big-endian: bits 0,1,1,0 read MSB-first = 6
     expected = b"\x01" + (3).to_bytes(8, "big") + (5).to_bytes(2, "big") + b"\x06"
     assert query.to_bytes() == expected
@@ -33,7 +32,7 @@ def test_query_serialization_layout():
 
 
 def test_query_serialization_widths():
-    wide = OracleQuery(KEYGEN_TAG, 2**64 - 1, 17, BitString.from_int(0, 16))
+    wide = OracleQuery(KEYGEN_TAG, 2**64 - 1, 17, 0)
     body = wide.to_bytes()
     assert body[0] == KEYGEN_TAG
     assert body[1:9] == b"\xff" * 8
@@ -43,15 +42,18 @@ def test_query_serialization_widths():
 
 def test_query_validation():
     with pytest.raises(ValueError):
-        OracleQuery(256, 1, 5, BitString.from_int(0, 4))
+        OracleQuery(256, 1, 5, 0)
     with pytest.raises(ValueError):
-        OracleQuery(PROBE_TAG, -1, 5, BitString.from_int(0, 4))
+        OracleQuery(PROBE_TAG, -1, 5, 0)
     with pytest.raises(ValueError):
-        OracleQuery(PROBE_TAG, 2**64, 5, BitString.from_int(0, 4))
+        OracleQuery(PROBE_TAG, 2**64, 5, 0)
     with pytest.raises(ValueError):
-        OracleQuery(PROBE_TAG, 1, 0, BitString.from_int(0, 0))
-    with pytest.raises(ValueError):
-        OracleQuery(PROBE_TAG, 1, 5, BitString.from_int(0, 3))  # wrong r width
+        OracleQuery(PROBE_TAG, 1, 0, 0)
+    for r in (-1, 1 << 4):  # the round input has msg_bits - 1 = 4 bits
+        with pytest.raises(ValueError, match=rf"round input {r} out of range "
+                                             r"0\.\.2\^4 - 1"):
+            OracleQuery(PROBE_TAG, 1, 5, r)
+    OracleQuery(PROBE_TAG, 1, 5, (1 << 4) - 1)
 
 
 def test_query_serialization_injective_random():
@@ -63,7 +65,7 @@ def test_query_serialization_injective_random():
             rng.randrange(256),
             rng.randrange(2**64),
             msg_bits,
-            BitString.from_int(rng.getrandbits(msg_bits - 1), msg_bits - 1),
+            rng.getrandbits(msg_bits - 1),
         )
         body = query.to_bytes()
         assert seen.setdefault(body, query) == query

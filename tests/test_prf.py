@@ -34,9 +34,7 @@ def params_for(n_bits, msg_bits=5, num_probes=3, rounds=9):
                         num_probes=num_probes, rounds=rounds)
 
 
-def probe_query(params, round_index=1, r=None):
-    if r is None:
-        r = BitString.from_int(0, params.msg_bits - 1)
+def probe_query(params, round_index=1, r=0):
     return OracleQuery(PROBE_TAG, round_index, params.msg_bits, r)
 
 
@@ -87,11 +85,13 @@ def test_params_validation():
 
 
 def test_probe_draw_validation_and_indices():
-    draw = ProbeDraw((4, 9, 2), BitString.from_int(0b101, 3))
-    assert draw.subset_mask == BitString.from_int(0b101, 3)
-    assert ProbeDraw((), BitString.from_int(0, 0)).subset_mask == BitString.from_int(0, 0)
-    with pytest.raises(ValueError):
-        ProbeDraw((1, 2), BitString.from_int(0b1, 1))
+    # the mask is packed: bit j - 1 selects probe j
+    draw = ProbeDraw((4, 9, 2), 0b101)
+    assert draw.subset_mask == 0b101
+    assert ProbeDraw((), 0).subset_mask == 0
+    for mask in (-1, 0b100):  # two probes take a 2-bit mask
+        with pytest.raises(ValueError, match="out of range for 2 probes"):
+            ProbeDraw((1, 2), mask)
 
 
 # -- probe decoding ---------------------------------------------------------
@@ -103,7 +103,7 @@ def test_decode_rule_on_scripted_words():
     oracle = ScriptedOracle(scripts={probe_query(p): script})
     draw = derive_probes(oracle, BitString.from_int(0, 4), 1, p)
     assert draw.probes == (1, 2, 3)
-    assert draw.subset_mask == BitString.from_int(0b101, 3)
+    assert draw.subset_mask == 0b101
 
 
 def test_decode_wraps_modulo_n():
@@ -113,7 +113,7 @@ def test_decode_wraps_modulo_n():
     draw = derive_probes(oracle, BitString.from_int(0, 4), 1, p)
     # 16 % 16 + 1 = 1, 17 % 16 + 1 = 2, (2^64-1) % 16 + 1 = 16
     assert draw.probes == (1, 2, 16)
-    assert draw.subset_mask == BitString.from_int(0b000, 3)
+    assert draw.subset_mask == 0b000
 
 
 def test_rejection_skips_out_of_band_words():
@@ -124,7 +124,7 @@ def test_rejection_skips_out_of_band_words():
     oracle = ScriptedOracle(scripts={probe_query(p): script})
     draw = derive_probes(oracle, BitString.from_int(0, 4), 1, p)
     assert draw.probes == (2,)  # 4 % 3 + 1
-    assert draw.subset_mask == BitString.from_int(0b1, 1)
+    assert draw.subset_mask == 0b1
 
 
 def test_power_of_two_n_never_rejects():
@@ -149,7 +149,7 @@ def test_stream_extension_preserves_prefix_decoding():
     oracle = ScriptedOracle(scripts={probe_query(p): script})
     draw = derive_probes(oracle, BitString.from_int(0, 4), 1, p)
     assert draw.probes == (2, 3)  # 4 % 3 + 1, 5 % 3 + 1
-    assert draw.subset_mask == BitString.from_int(0b11, 2)
+    assert draw.subset_mask == 0b11
 
 
 def test_subset_mask_high_bits_dropped():
@@ -157,7 +157,7 @@ def test_subset_mask_high_bits_dropped():
     script = words(0, 0, 0) + b"\xff"
     oracle = ScriptedOracle(scripts={probe_query(p): script})
     draw = derive_probes(oracle, BitString.from_int(0, 4), 1, p)
-    assert draw.subset_mask == BitString.from_int(0b111, 3)
+    assert draw.subset_mask == 0b111
 
 
 def test_probes_always_in_range_production():
@@ -169,7 +169,7 @@ def test_probes_always_in_range_production():
         draw = derive_probes(oracle, r, rng.randrange(1, 100), p)
         assert len(draw.probes) == 7
         assert all(1 <= probe <= 10 for probe in draw.probes)
-        assert len(draw.subset_mask) == 7
+        assert 0 <= draw.subset_mask < 1 << 7
 
 
 def test_probe_positions_roughly_uniform():
@@ -249,7 +249,7 @@ def test_prf_key_params_mismatch():
 
 def test_draw_bit_matches_manual_xor():
     key = BigKey.generate(16, b"\x4d\x80")
-    draw = ProbeDraw((1, 16, 3, 3), BitString.from_int(0b1101, 4))
+    draw = ProbeDraw((1, 16, 3, 3), 0b1011)  # probe j at bit j - 1
     # bits: key[1]=1, key[16]=1, key[3]=1 (skipped), key[3]=1
     assert draw_bit(key, draw) == (1 ^ 1 ^ 1)
 
@@ -420,7 +420,7 @@ def test_mask_bytes_read_past_the_extension():
                 _REJECT * 65 + words(*accepted) + mask)
             draws[r, x] = ProbeDraw(
                 tuple(w % n_bits + 1 for w in accepted),
-                BitString._make(k, int.from_bytes(mask, "little")))
+                int.from_bytes(mask, "little"))
     oracle = ScriptedOracle(scripts=scripts)
     sizes = _record_sizes(oracle)
     for (r, x), want in draws.items():
