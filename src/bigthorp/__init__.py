@@ -38,8 +38,16 @@ from .oracle import (
     ScriptedOracle,
     Shake256Oracle,
 )
-from .prf import CipherParams, ProbeDraw, derive_probes, draw_bit
-from .thorp import decrypt, encrypt, round_backward, round_forward
+from .thorp import (
+    CipherParams,
+    ProbeDraw,
+    decrypt,
+    derive_probes,
+    draw_bit,
+    encrypt,
+    round_backward,
+    round_forward,
+)
 
 __version__ = "0.1.0"
 

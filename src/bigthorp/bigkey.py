@@ -5,7 +5,8 @@ the bits live in one flat read-only buffer that holds exactly the
 ceil(N / 8) key bytes: ``bytes`` for generated keys and keys loaded
 ``in_memory``, or a read-only ``memoryview`` of the key bytes in an
 ``mmap`` of the key file for keys used in place on disk.  Bit i is in
-byte (i - 1) // 8 of the buffer.  A probe costs one byte read from it,
+byte (i - 1) // 8 of the buffer; only this module and the cipher kernels
+of ``thorp`` read the buffer.  A probe costs one byte read from it,
 so a round touches at most k key bytes however large the key is, and the
 mapping has no shared file position, so threads may share one key.
 
@@ -41,7 +42,6 @@ truncates a mapped key file in place makes reads past the new end fault
 
 from __future__ import annotations
 
-import contextlib
 import mmap
 import os
 import tempfile
@@ -128,10 +128,10 @@ def _decode(head: bytes, tail: bytes, size: int):
 class BigKey:
     """An N-bit key in a flat read-only buffer, with probe-local access.
 
-    ``buf`` holds exactly the ceil(n_bits / 8) key bytes: ``bytes``, a
-    read-only ``memoryview``, or anything else with ``len`` and indexing.
-    A key from ``load`` also owns the ``mmap`` under its view, which
-    ``close`` releases.
+    ``buf`` is a bytes-like object (``bytes`` or a read-only
+    ``memoryview``) that holds exactly the ceil(n_bits / 8) key bytes; other
+    modules read key bits through ``get_bit`` and ``subkey``.  A key from
+    ``load`` also owns the ``mmap`` under its view, which ``close`` releases.
     """
 
     def __init__(self, n_bits: int, buf, oracle_id: str = Shake256Oracle.identifier):
@@ -221,11 +221,7 @@ class BigKey:
             with os.fdopen(fd, "wb") as f:
                 header = _encode_header(self.n_bits, self.oracle_id)
                 f.write(header)
-                try:  # slices of a memoryview are not copies
-                    view = memoryview(self._buf)
-                except TypeError:  # a store without the buffer protocol
-                    view = contextlib.nullcontext(self._buf)
-                with view as data:
+                with memoryview(self._buf) as data:  # slices are not copies
                     for pos in range(0, len(data), _COPY_CHUNK):
                         f.write(data[pos : pos + _COPY_CHUNK])
                 f.write(_crc(header))

@@ -43,7 +43,7 @@ from typing import IO, Dict, Iterable, List, Optional, Union
 
 import mpmath
 
-from .prf import _rounds_for
+from .thorp import _rounds_for
 
 PRECISION_BITS = 240
 

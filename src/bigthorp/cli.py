@@ -30,7 +30,7 @@ import mpmath
 from . import bigkey, bounds, thorp, verify
 from .bitstring import BitString
 from .oracle import _MAX_MSG_BITS, _U64_MAX, Shake256Oracle
-from .prf import CipherParams
+from .thorp import CipherParams
 
 _ENV_KEY = "BIGTHORP_KEY"
 _SEEDED_KEY_MAX_BITS = 2**33

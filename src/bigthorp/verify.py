@@ -27,8 +27,8 @@ The checks, stated over explicit tables:
   distinct (round input, round) queries, next to the exactly computed
   half-root-collision-mass bound averaged over the sampled draws.  The bit
   is the cipher's own: the estimate evaluates its queries in fixed-size
-  batches through ``prf._round_bits``, which gives each query the bit that
-  a round of the kernel ``prf._rounds`` under ``encrypt`` would give.
+  batches through ``thorp._round_bits``, which gives each query the bit
+  that a round of the kernel ``thorp._rounds`` under ``encrypt`` would give.
 
 ``main_lemma_check`` and the conditioned ``bias_estimate`` read the
 collision mass from one table of agreeing pairs.  Two uniform elements of
@@ -56,7 +56,7 @@ from .bigkey import BigKey, seed_randomness
 from .bounds import entropy_h, entropy_h_inv
 from .oracle import (
     _U64_MAX, PROBE_TAG, Oracle, ScriptedOracle, Shake256Oracle, encode_query)
-from .prf import CipherParams, _check_key, _round_bits
+from .thorp import CipherParams, _check_key, _round_bits
 
 _MAX_TABLE_BITS = 20
 _MAX_PARSEVAL_BITS = 16
@@ -373,7 +373,7 @@ def bias_estimate(
             raise ValueError(
                 f"conditioning needs key size <= {_MAX_FIBER_BITS} bits"
             )
-        x0 = int.from_bytes(key._buf, "little")  # padding bits are zero
+        x0 = key.subkey(range(1, key.n_bits + 1))
         fiber = lt.fiber(int(lt.table[x0]))
         by_set = _agreeing_pairs(fiber, lt.n0)[::-1] / fiber.size**2
 

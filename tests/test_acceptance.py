@@ -34,7 +34,7 @@ from bigthorp.bounds import (
     naive_adv_lower,
 )
 from bigthorp.oracle import ScriptedOracle, Shake256Oracle
-from bigthorp.prf import CipherParams
+from bigthorp.thorp import CipherParams
 from bigthorp.thorp import decrypt, encrypt
 from bigthorp.verify import (
     DistributionTable,

@@ -1,5 +1,6 @@
 """Key generation, probing, and the key file format."""
 
+import ast
 import mmap
 import os
 import signal
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,7 @@ from bigthorp import (
     OracleMismatchError,
     ScriptedOracle,
     Shake256Oracle,
+    bigkey,
     decrypt,
     encrypt,
     seed_randomness,
@@ -179,6 +182,35 @@ def test_load_in_memory_matches_file_backed(tmp_path):
         assert disk.subkey(probes) == mem.subkey(probes)
 
 
+def test_load_in_memory_refuses_a_file_that_shrinks(tmp_path, monkeypatch):
+    # after _decode has checked the size, the file loses its last key byte
+    # and the 4-byte checksum after it
+    path = tmp_path / "key.bk"
+    BigKey.generate(64, seed_randomness(8, 5)).save(path)
+    decode = bigkey._decode
+
+    def decode_then_truncate(head, tail, size):
+        checked = decode(head, tail, size)
+        os.truncate(path, size - 5)
+        return checked
+
+    monkeypatch.setattr(bigkey, "_decode", decode_then_truncate)
+    with pytest.raises(KeyFileError, match="short read"):
+        BigKey.load(path, in_memory=True)
+
+
+def test_only_bigkey_and_thorp_read_the_key_buffer():
+    # bigkey decides where key bit p lives and thorp's kernels index the
+    # buffer for speed; every other module reads bits through the key
+    package = Path(bigkey.__file__).parent
+    stray = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.rglob("*.py"))
+             if path.name not in ("bigkey.py", "thorp.py")
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "_buf"]
+    assert stray == []
+
+
 def test_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.bk"
     path.write_bytes(b"NOPE" + bytes(20))
@@ -311,17 +343,28 @@ def test_save_over_its_own_lazy_source(tmp_path):
     assert os.listdir(tmp_path) == ["key.bk"]
 
 
-def test_failed_save_keeps_the_old_file(tmp_path):
+def test_failed_save_keeps_the_old_file(tmp_path, monkeypatch):
     path = tmp_path / "key.bk"
     BigKey.generate(64, seed_randomness(8, 5)).save(path)
     before = path.read_bytes()
+    fdopen = os.fdopen
 
-    class FailingBuffer(CountingBuffer):
-        def __getitem__(self, index):
-            raise OSError("device went away")
+    def failing_fdopen(*args):
+        f = fdopen(*args)
+        write = f.write
 
-    with pytest.raises(OSError):
-        BigKey(64, FailingBuffer(bytes(8))).save(path)
+        def failing_write(data):  # the header goes through, the key bytes fail
+            if f.tell():
+                raise OSError("device went away")
+            return write(data)
+
+        f.write = failing_write
+        return f
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fdopen", failing_fdopen)
+        with pytest.raises(OSError):
+            BigKey(64, bytes(8)).save(path)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["key.bk"]
     # an oracle identifier the header cannot hold: neither the old file nor
@@ -339,22 +382,24 @@ import os, signal, sys
 from bigthorp import BigKey
 
 fd, path, n_bytes = int(sys.argv[1]), sys.argv[2], int(sys.argv[3])
+fdopen = os.fdopen
 
-class SlicedStore:
-    # no buffer protocol, so save slices it one chunk at a time
-    def __init__(self, data):
-        self._data = data
+def pausing_fdopen(*args):
+    # the temporary file: save writes the key bytes in 1 MiB chunks
+    f = fdopen(*args)
+    write = f.write
 
-    def __len__(self):
-        return len(self._data)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice) and index.start:  # the second chunk
+    def pausing_write(data):
+        if f.tell() > 1 << 20:  # past the header and the first chunk
             os.write(fd, b"!")
             signal.pause()  # until the parent's SIGKILL
-        return self._data[index]
+        return write(data)
 
-BigKey(8 * n_bytes, SlicedStore(b"\\xa5" * n_bytes)).save(path)
+    f.write = pausing_write
+    return f
+
+os.fdopen = pausing_fdopen
+BigKey(8 * n_bytes, b"\\xa5" * n_bytes).save(path)
 """
 
 

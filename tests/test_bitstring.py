@@ -36,6 +36,10 @@ def test_split_concat_inverse_random():
         assert rest.prepend_bit(left) == b
         head, last = b.split_last()
         assert head.append_bit(last) == b
+    with pytest.raises(ValueError):
+        BitString.from_int(0b1, 1).append_bit(2)
+    with pytest.raises(ValueError):
+        BitString.from_int(0b1, 1).prepend_bit(-1)
 
 
 def test_hex_codec_big_endian():
@@ -66,6 +70,8 @@ def test_hex_rejects_values_too_wide():
         BitString.from_hex("", 8)
     with pytest.raises(ValueError):
         BitString.from_hex("-5", 8)
+    with pytest.raises(ValueError, match="nonnegative"):
+        BitString.from_hex("f", -1)
     # only a run of ASCII hex digits: int(text, 16) takes all of these
     for text in ("0x1f", "1_f", " 1f", "ff\n", "+ff", "-0", "\uff11\uff12"):
         with pytest.raises(ValueError, match="invalid hex string"):

@@ -16,7 +16,7 @@ from bigthorp.bigkey import BigKey
 from bigthorp.bitstring import BitString
 from bigthorp.cli import main
 from bigthorp.oracle import Shake256Oracle
-from bigthorp.prf import CipherParams
+from bigthorp.thorp import CipherParams
 
 
 @pytest.fixture()
@@ -76,6 +76,17 @@ def test_seeded_keygen_is_deterministic(tmp_path):
     c = tmp_path / "c.key"
     assert main(["keygen", "--bits", "256", "--seed", "6", "--out", str(c)]) == 0
     assert a.read_bytes() != c.read_bytes()
+
+
+def test_unseeded_keygen_draws_from_the_system_rng(tmp_path):
+    # the README's default; 4099 bits leaves padding that load checks
+    a, b = tmp_path / "a.key", tmp_path / "b.key"
+    assert main(["keygen", "--bits", "4099", "--out", str(a)]) == 0
+    assert main(["keygen", "--bits", "4099", "--out", str(b)]) == 0
+    bits = range(1, 4100)
+    with BigKey.load(a) as key_a, BigKey.load(b) as key_b:
+        assert key_a.n_bits == key_b.n_bits == 4099
+        assert key_a.subkey(bits) != key_b.subkey(bits)
 
 
 def test_odd_width_hex_round_trip(key_path, capsys):

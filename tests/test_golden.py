@@ -1,10 +1,10 @@
 """Golden ciphertexts, pinned from a reference written apart from the library.
 
 The reference below follows only the documented layouts: the query bytes
-of ``oracle.py``, the probe decoding of ``prf.py``, the Feistel round of
-``thorp.py`` and the bit packing of ``bitstring.py``.  It uses nothing but
-``hashlib.shake_256``, so these vectors never check the library against
-its own output.  Blocks are big-endian hex: the first digit holds bit 1.
+of ``oracle.py``, the probe decoding and the Feistel round of ``thorp.py``,
+the key-bit packing of ``bigkey.py`` and the message bits of
+``bitstring.py``.  It uses nothing but ``hashlib.shake_256``, so these
+vectors never check the library against its own output.  Blocks are big-endian hex: the first digit holds bit 1.
 """
 
 import hashlib

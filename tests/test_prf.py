@@ -26,7 +26,7 @@ from bigthorp import (
     seed_randomness,
 )
 from bigthorp.oracle import encode_query
-from bigthorp.prf import _accept, _round_bits
+from bigthorp.thorp import _accept, _round_bits
 
 
 def params_for(n_bits, msg_bits=5, num_probes=3, rounds=9):
@@ -441,7 +441,7 @@ def test_mask_bytes_read_past_the_extension():
 def test_pick_tables_are_built_on_first_use():
     code = (
         "import bigthorp as bt\n"
-        "from bigthorp.prf import _picks\n"
+        "from bigthorp.thorp import _picks\n"
         "assert _picks.cache_info().currsize == 0\n"
         "key = bt.BigKey.generate(1001, bt.seed_randomness(126, 1))\n"
         "p = bt.CipherParams.from_passes(1001, 9, 13, 1)\n"

@@ -16,7 +16,7 @@ from bigthorp.bigkey import (
 )
 from bigthorp.bitstring import BitString
 from bigthorp.oracle import ScriptedOracle
-from bigthorp.prf import CipherParams
+from bigthorp.thorp import CipherParams
 from bigthorp.thorp import decrypt, encrypt
 
 KEY_BITS = 1 << 12

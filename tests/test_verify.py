@@ -17,7 +17,7 @@ import pytest
 
 from bigthorp.bigkey import BigKey, seed_randomness
 from bigthorp.oracle import ScriptedOracle, Shake256Oracle
-from bigthorp.prf import CipherParams
+from bigthorp.thorp import CipherParams
 from bigthorp.verify import (
     SUITES,
     CheckResult,
