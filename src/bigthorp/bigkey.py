@@ -129,7 +129,8 @@ class BigKey:
     """An N-bit key in a flat read-only buffer, with probe-local access.
 
     ``buf`` is a bytes-like object (``bytes`` or a read-only
-    ``memoryview``) that holds exactly the ceil(n_bits / 8) key bytes; other
+    ``memoryview``) that holds exactly the ceil(n_bits / 8) key bytes; an
+    object without the buffer protocol raises ``TypeError``.  Other
     modules read key bits through ``get_bit`` and ``subkey``.  A key from
     ``load`` also owns the ``mmap`` under its view, which ``close`` releases.
     """
@@ -137,10 +138,14 @@ class BigKey:
     def __init__(self, n_bits: int, buf, oracle_id: str = Shake256Oracle.identifier):
         if not _MIN_BITS <= n_bits <= _U64_MAX:
             raise ValueError(f"key size {n_bits} out of range {_MIN_BITS}..2^64-1")
+        # released at once: a view left open would make a mapped key's
+        # close raise BufferError
+        with memoryview(buf) as view:
+            size = view.nbytes
         needed = (n_bits + 7) // 8
-        if len(buf) != needed:
+        if size != needed:
             raise ValueError(
-                f"buffer holds {len(buf)} key bytes, key of {n_bits} "
+                f"buffer holds {size} key bytes, key of {n_bits} "
                 f"bits needs {needed}"
             )
         self.n_bits = n_bits

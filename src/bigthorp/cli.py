@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+import time
 from typing import List, Optional
 
 import mpmath
@@ -295,16 +296,21 @@ def _cmd_verify(args) -> int:
         print(f"error: --trials must be at least {verify._MIN_TRIALS} for "
               "the bias suite", file=sys.stderr)
         return 1
-    results = []
+    results, suite_s = [], []
     for name in names:
         kwargs = {"trials": args.trials} if name == "bias" else {}
         if args.seed is not None:
             kwargs["seed"] = args.seed
-        results.extend(verify.SUITES[name](**kwargs))
+        start = time.perf_counter()
+        rows = verify.SUITES[name](**kwargs)
+        suite_s += [time.perf_counter() - start] * len(rows)
+        results.extend(rows)
     print(verify.render_report(results))
     if args.json is not None:
+        summary = [dict(row, suite_s=seconds) for row, seconds
+                   in zip(verify.report_rows(results), suite_s)]
         with open(args.json, "w") as f:
-            json.dump(verify.report_rows(results), f, indent=2)
+            json.dump(summary, f, indent=2)
         print(f"wrote summary to {args.json}")
     return 0 if all(r.passed for r in results) else 3
 

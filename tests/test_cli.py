@@ -403,11 +403,15 @@ def test_verify_json_summary(tmp_path, capsys):
     rows = json.loads(path.read_text())
     assert rows
     for row in rows:
-        assert set(row) == {"name", "lhs", "rhs", "pass", "note"}
+        assert set(row) == {"name", "lhs", "rhs", "pass", "note", "suite_s"}
         assert row["pass"] is True
     names = {row["name"] for row in rows}
     assert any(n.startswith("decomposition/") for n in names)
     assert any(n.startswith("fiber-entropy/") for n in names)
+    # suite_s: the wall seconds of the suite call that made the row
+    per_suite = {(row["name"].split("/")[0], row["suite_s"]) for row in rows}
+    assert len(per_suite) == 2
+    assert all(isinstance(s, float) and s > 0 for _, s in per_suite)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bigthorp import verify
 from bigthorp.bigkey import BigKey, seed_randomness
 from bigthorp.oracle import ScriptedOracle, Shake256Oracle
 from bigthorp.thorp import CipherParams
@@ -146,7 +147,7 @@ def test_parity_expectations_match_definition(n):
     # lhs == rhs holds for any +-1 orthogonal transform, so compare each
     # E(S) itself with the literal sum over outcomes (odd and even splits)
     d = DistributionTable.random(n, np.random.default_rng(29 + n))
-    e = _parity_expectations(d)
+    e = _parity_expectations(d.mass[None])[0]
     assert e.shape == (1 << n,)
     mass = [float(p) for p in d.mass]
     for s in range(1 << n):
@@ -340,7 +341,9 @@ def _assert_agreeing_pairs(fiber, n0, batch):
     # per row: S[full ^ P] is the count of fiber pairs that agree on every
     # probed position, and the mass S[full ^ P] / |F|^2 is the correctly
     # rounded sum of squared pattern probabilities
-    agree = _agreeing_pairs(fiber, n0)
+    indicator = np.zeros((1, 1 << n0), dtype=np.int64)
+    indicator[0, fiber] = 1
+    agree = _agreeing_pairs(indicator, n0)[0]
     differ = fiber[:, None] ^ fiber[None, :]  # every ordered pair
     for row in batch:
         probed = sum({1 << pos for pos in row})
@@ -648,3 +651,131 @@ def test_report_rows_shape():
     assert rows == [
         {"name": "x", "lhs": 0.25, "rhs": 0.5, "pass": True, "note": "n"}
     ]
+
+
+# ---------------------------------------------------------------------------
+# batched suites: every row equals the per-call loop, bit for bit
+
+
+def _parseval_rows_by_call(max_n, per_n, seed):
+    # one draw, one table and one parseval_check per random distribution
+    rng = np.random.default_rng(seed)
+    rows = []
+    for n in range(1, max_n + 1):
+        worst = 0.0
+        for _ in range(per_n):
+            arr = rng.random(1 << n)
+            lhs, rhs = parseval_check(DistributionTable(n, arr / arr.sum()))
+            worst = max(worst, abs(lhs - rhs))
+        rows.append((f"parseval/random-n{n}", worst))
+    return rows
+
+
+@pytest.mark.parametrize("seed", [5, 77, 2024])
+def test_parseval_suite_rows_equal_per_call_loop(seed):
+    # n = 1 and odd widths included; lhs compared as exact floats
+    results = run_parseval_suite(max_n=7, per_n=40, seed=seed)
+    assert [(r.name, r.lhs) for r in results[2:]] == \
+        _parseval_rows_by_call(7, 40, seed)
+    assert all(r.passed for r in results)
+
+
+def _collision_rows_by_call(n0, ks, num_tables, l0_values, seed):
+    rng = np.random.default_rng(seed)
+    tables = [LeakageTable.random(n0, l0_values[i % len(l0_values)], rng)
+              for i in range(num_tables)]
+    rows = []
+    for k in ks:
+        results = [main_lemma_check(lt, v, k)
+                   for lt in tables for v in lt.fibers()]
+        excess = [r.expected_g - r.bound for r in results if r.bound_valid]
+        rows.append((f"collision/random-k{k}", max(excess, default=-math.inf),
+                     len(excess), len(results) - len(excess)))
+    return rows
+
+
+@pytest.mark.parametrize("seed, n0, ks, l0_values", [
+    (9, 8, (1, 2, 3), (1, 2)),
+    (10, 6, (1, 3, 3), (2, 4)),  # small fibers leave the bound's domain
+    (11, 5, (2,), (0, 3)),  # l0 = 0: one fiber, the whole space
+])
+def test_collision_suite_rows_equal_per_call_loop(seed, n0, ks, l0_values):
+    results = run_collision_suite(n0=n0, ks=ks, num_tables=6,
+                                  l0_values=l0_values, seed=seed)
+    rows = results[len(ks) + 1:]
+    expected = _collision_rows_by_call(n0, ks, 6, l0_values, seed)
+    assert [r.name for r in rows] == [name for name, *_ in expected]
+    for r, (_, worst, checked, skipped) in zip(rows, expected):
+        skips = f", {skipped} invalid-domain skipped" if skipped else ""
+        assert r.lhs == worst
+        assert r.note == f"worst (expected_g - bound) over {checked} fibers{skips}"
+
+
+@pytest.mark.parametrize("seed", [1, 42, 999])
+def test_decomposition_suite_rows_equal_per_call_loop(seed):
+    rng = np.random.default_rng(seed)
+    worst = math.inf
+    for _ in range(40):
+        size = int(rng.integers(1, (1 << 7) + 1))
+        s, e = decomposition_check(rng.choice(1 << 7, size=size, replace=False), 7)
+        worst = min(worst, s - e)
+    row = run_decomposition_suite(count=40, n0=7, seed=seed)[-1]
+    assert (row.name, row.lhs) == ("decomposition/random", worst)
+
+
+def test_agreeing_pairs_batch_equals_per_fiber_rows():
+    n0 = 7
+    lt = LeakageTable.random(n0, 3, np.random.default_rng(61))
+    fibers = [lt.fiber(v) for v in lt.fibers()]
+    fibers += [np.array([93]), np.arange(1 << n0)]  # a singleton, the space
+    batch = np.zeros((len(fibers), 1 << n0), dtype=np.int64)
+    for row, fiber in zip(batch, fibers):
+        row[fiber] = 1
+    agree = _agreeing_pairs(batch, n0)
+    for row, expect in zip(batch, agree):
+        assert (_agreeing_pairs(row[None], n0)[0] == expect).all()
+    assert agree[-2].tolist() == [1] * (1 << n0)  # only (x, x) for {x}
+    assert agree[-1][-1] == 1 << (2 * n0)  # every pair lies inside ~0
+
+
+@pytest.mark.parametrize("cells", [1, 100])
+def test_small_chunks_leave_rows_unchanged(monkeypatch, cells):
+    # rows drawn and evaluated a few at a time, down to one row per chunk
+    def rows():
+        return (run_parseval_suite(max_n=6, per_n=30, seed=8)
+                + run_collision_suite(num_tables=5, seed=8))
+
+    expected = rows()
+    monkeypatch.setattr(verify, "_CHUNK_CELLS", cells)
+    assert rows() == expected
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(verify, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verify, name, counted)
+    return calls
+
+
+def test_suites_build_each_table_once(monkeypatch):
+    # work, not time: the parseval transform runs once per width, the
+    # agreeing-pairs table once per random leakage table (plus the fixed
+    # rows), and the entropy bound once per distinct (fiber size, k)
+    transforms = _count_calls(monkeypatch, "_parity_expectations")
+    run_parseval_suite(max_n=10, per_n=500)
+    assert len(transforms) == 2 + 10  # two fixed rows, then one per width
+
+    tables = _count_calls(monkeypatch, "_agreeing_pairs")
+    inversions = _count_calls(monkeypatch, "entropy_h_inv")
+    run_collision_suite()  # n0 = 8, ks = (1, 2, 3), 20 tables, seed 404
+    assert len(tables) == 3 + 1 + 20
+    rng = np.random.default_rng(404)
+    sizes = {int(c) for i in range(20)
+             for c in np.bincount(LeakageTable.random(8, 1 + i % 2, rng).table)
+             if c}
+    assert len(inversions) <= 3 + 3 * len(sizes)
