@@ -1,15 +1,20 @@
 """Advantage-bound calculators and binary-entropy numerics.
 
-Everything here is evaluated with mpmath at 240-bit working precision,
-because the interesting bound values live around 2^-100 where float64
-arithmetic on the intermediate terms would shed exactly the digits the
-caller cares about.  The evaluation runs on one module-private mpmath
-context fixed at 240 bits, so the global ``mpmath.mp`` precision is
-never read or changed, and threads may evaluate bounds concurrently.
-Each public function checks its arguments once and then calls unchecked
-private helpers.  Results are global ``mpmath.mpf`` values that carry
-the 240-bit mantissas; arithmetic on them rounds at the caller's
-precision.  Convert with ``float()`` at the edge if needed.
+Everything here is evaluated at 240-bit working precision, because the
+interesting bound values live around 2^-100 where float64 arithmetic on
+the intermediate terms would shed exactly the digits the caller cares
+about.  The evaluators are pure ``mpmath.libmp`` calls on raw mpf
+tuples, each at a fixed 240 bits with round-to-nearest: they hold no
+context and read no global state, so the global ``mpmath.mp`` precision
+is never read or changed, and threads may evaluate bounds concurrently.
+Each operation is the libmp call that the matching ``mpf`` operator
+makes at 240 bits, and a base-2 logarithm takes both natural logarithms
+at 260 bits as ``mpmath.log(x, 2)`` does, so the values are those of
+mpmath's ``mpf`` arithmetic.  Each public function checks its arguments
+once, converts them at the boundary, and calls unchecked private
+helpers.  Results are global ``mpmath.mpf`` values that carry the
+240-bit mantissas; arithmetic on them rounds at the caller's precision.
+Convert with ``float()`` at the edge if needed.
 
 The distinguishing-advantage bound for the cipher is a four-term sum in
 the query count q, message width m, probe count k, pass count s (with
@@ -42,6 +47,12 @@ from fractions import Fraction
 from typing import IO, Dict, Iterable, List, Optional, Union
 
 import mpmath
+from mpmath.libmp import (
+    fnan, fone, fzero, from_float, from_int, mpf_add, mpf_div, mpf_eq,
+    mpf_ge, mpf_gt, mpf_le, mpf_ln2, mpf_log, mpf_lt, mpf_mul, mpf_mul_int,
+    mpf_neg, mpf_pos, mpf_pow, mpf_pow_int, mpf_shift, mpf_sqrt, mpf_sub,
+    round_nearest, to_float, to_str,
+)
 
 from .thorp import _rounds_for
 
@@ -51,34 +62,45 @@ Number = Union[int, float, Fraction]
 
 _CSV_HEADER = "log2_q,neg_log2_gamma,valid"
 # Newton steps before bisection: one from the float64 seed, at most five
-# from h_inv_upper; the float64 solve itself stops after _FLOAT_STEPS
+# from the upper bound; the float64 solve itself stops after _FLOAT_STEPS
 _NEWTON_STEPS = 32
 _FLOAT_STEPS = 40
 _FLOAT_LN4 = math.log(4)
 
-_ctx = mpmath.MPContext()
-_ctx.prec = PRECISION_BITS
-_mpf = _ctx.mpf
-_ln = _ctx.ln
-_ldexp = _ctx.ldexp
-_LN2 = _mpf(_ctx.ln2)
-_LN4 = _ldexp(_LN2, 1)
-_HALF = _mpf(0.5)
-_ZERO = _mpf(0)
+# every libmp call below rounds to nearest at _P bits; a base-2 logarithm
+# takes its natural logarithms 20 bits finer, as mpmath.log(x, 2) does
+_P, _RND = PRECISION_BITS, round_nearest
+_LOG_P = PRECISION_BITS + 20
+_LN2 = mpf_ln2(_P, _RND)
+_LN2_LOG = mpf_log(from_int(2), _LOG_P, _RND)
+_LN4 = mpf_shift(_LN2, 1)
+_HALF = from_float(0.5)
 _TOL = 1e-12
-_TOL_MPF = _mpf(_TOL)
+_TOL_MPF = from_float(_TOL)
 
 
 def _to_mpf(x):
-    """``x`` on the private 240-bit context."""
+    """``x`` as a raw mpf tuple rounded to 240 bits."""
+    if isinstance(x, float):
+        return from_float(x)
+    if isinstance(x, int):
+        return from_int(x, _P, _RND)
     if isinstance(x, Fraction):
-        return _mpf(x.numerator) / _mpf(x.denominator)
-    return _mpf(x)
+        return mpf_div(from_int(x.numerator, _P, _RND),
+                       from_int(x.denominator, _P, _RND), _P, _RND)
+    if hasattr(x, "_mpf_"):  # an mpmath mpf
+        return mpf_pos(x._mpf_, _P, _RND)
+    raise TypeError(f"cannot create mpf from {x!r}")
 
 
 def _out(x) -> mpmath.mpf:
-    """The same 240-bit value as a global ``mpmath.mpf``."""
-    return mpmath.mp.make_mpf(x._mpf_)
+    """The raw 240-bit value ``x`` as a global ``mpmath.mpf``."""
+    return mpmath.mp.make_mpf(x)
+
+
+def _log2(x):
+    """log2 of a raw ``x``: ln x over ln 2, both at 260 bits, rounded to 240."""
+    return mpf_div(mpf_log(x, _LOG_P, _RND), _LN2_LOG, _P, _RND)
 
 
 def _check_unit(name: str, x) -> None:
@@ -88,17 +110,20 @@ def _check_unit(name: str, x) -> None:
 
 def _h_nats(p):
     """h(p) in nats for 0 < p < 1, with the ln p and ln(1 - p) it took."""
-    a, b = _ln(p), _ln(1 - p)
-    return -p * a - (1 - p) * b, a, b
+    q = mpf_sub(fone, p, _P, _RND)
+    a, b = mpf_log(p, _P, _RND), mpf_log(q, _P, _RND)
+    h = mpf_sub(mpf_mul(mpf_neg(p, _P, _RND), a, _P, _RND),
+                mpf_mul(q, b, _P, _RND), _P, _RND)
+    return h, a, b
 
 
 def entropy_h(p: Number) -> mpmath.mpf:
     """Binary entropy h(p) in bits; h(0) = h(1) = 0."""
     _check_unit("p", p)
     pm = _to_mpf(p)
-    if pm == 0 or pm == 1:
-        return mpmath.mpf(0)
-    return _out(_h_nats(pm)[0] / _LN2)
+    if mpf_eq(pm, fzero) or mpf_eq(pm, fone):
+        return _out(fzero)
+    return _out(mpf_div(_h_nats(pm)[0], _LN2, _P, _RND))
 
 
 def _h_inv_float(z: float) -> Optional[float]:
@@ -142,47 +167,51 @@ def entropy_h_inv(z: Number, tol: float = _TOL) -> mpmath.mpf:
     _check_unit("z", z)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    return _out(_h_inv(_to_mpf(z), _mpf(tol)))
+    return _out(_h_inv(_to_mpf(z), _to_mpf(tol)))
 
 
 def _h_inv(zm, tolm):
-    """``entropy_h_inv`` on the private context, for 0 <= zm <= 1."""
-    if zm == 0:
-        return _mpf(1)
-    if zm == 1:
+    """``entropy_h_inv`` on raw values, for 0 <= zm <= 1."""
+    if mpf_eq(zm, fzero):
+        return fone
+    if mpf_eq(zm, fone):
         return _HALF
-    zn = zm * _LN2
-    seed, first = _h_inv_float(float(zm)), None
+    zn = mpf_mul(zm, _LN2, _P, _RND)
+    seed, first = _h_inv_float(to_float(zm, rnd=_RND)), None
     if seed is not None:
-        hi = _mpf(seed)
+        hi = from_float(seed)
         first = _h_nats(hi)
-        if first[0] > zn:  # the seed is below the root
+        if mpf_gt(first[0], zn):  # the seed is below the root
             seed = first = None
     if seed is None:
-        hi = _mpf(h_inv_upper(zm))
+        hi = _h_upper(zm)
     for _ in range(_NEWTON_STEPS):
         new = hi  # the tangent at hi = 1 is vertical
-        if hi < 1:
+        if mpf_lt(hi, fone):
             h, a, b = first or _h_nats(hi)
             first = None
-            if h > zn:  # rounding put hi below the root
+            if mpf_gt(h, zn):  # rounding put hi below the root
                 break
-            new = hi - (h - zn) / (b - a)
-        if hi - new <= tolm:
+            new = mpf_sub(hi, mpf_div(mpf_sub(h, zn, _P, _RND),
+                                      mpf_sub(b, a, _P, _RND), _P, _RND),
+                          _P, _RND)
+        if mpf_le(mpf_sub(hi, new, _P, _RND), tolm):
             # [hi - tol, hi] brackets the root if h(hi - tol) >= z
-            if _h_nats(max(_HALF, hi - tolm))[0] >= zn:
+            lo = mpf_sub(hi, tolm, _P, _RND)
+            if mpf_ge(_h_nats(lo if mpf_gt(lo, _HALF) else _HALF)[0], zn):
                 return new
-            if new == hi:  # no progress
+            if mpf_eq(new, hi):  # no progress
                 break
         hi = new
-    lo, hi = _HALF, _mpf(1)
-    mid = _ldexp(lo + hi, -1)
-    while hi - lo > tolm and lo < mid < hi:
-        if _h_nats(mid)[0] > zn:
+    lo, hi = _HALF, fone
+    mid = mpf_shift(mpf_add(lo, hi, _P, _RND), -1)
+    while (mpf_gt(mpf_sub(hi, lo, _P, _RND), tolm)
+           and mpf_lt(lo, mid) and mpf_lt(mid, hi)):
+        if mpf_gt(_h_nats(mid)[0], zn):
             lo = mid
         else:
             hi = mid
-        mid = _ldexp(lo + hi, -1)
+        mid = mpf_shift(mpf_add(lo, hi, _P, _RND), -1)
     return mid
 
 
@@ -193,9 +222,11 @@ def h_inv_upper(z: Number) -> mpmath.mpf:
 
 
 def _h_upper(zm):
-    if zm == 0:
-        return _mpf(1)
-    return _HALF + _ldexp(_ctx.sqrt(1 - zm ** _LN4), -1)
+    if mpf_eq(zm, fzero):
+        return fone
+    root = mpf_sqrt(mpf_sub(fone, mpf_pow(zm, _LN4, _P, _RND), _P, _RND),
+                    _P, _RND)
+    return mpf_add(_HALF, mpf_shift(root, -1), _P, _RND)
 
 
 @dataclass(frozen=True)
@@ -225,6 +256,11 @@ class BoundInputs:
                      "queries", "oracle_calls"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
+        # the evaluators take each count as an exact integer
+        for name in ("n_bits", "leak_bits", "msg_bits", "num_probes",
+                     "passes", "rounds"):
+            if getattr(self, name) % 1:
+                raise ValueError(f"{name} must be a whole number")
 
     @classmethod
     def from_passes(
@@ -267,56 +303,77 @@ def _check_bound(b: BoundInputs, variant: str) -> None:
         raise ValueError("passes must be at least 1 for the advantage bound")
 
 
-def _gamma(b: BoundInputs, qm, variant: str):
-    """The two leading bound terms at query count ``qm`` >= 0.
+def _counts(b: BoundInputs):
+    """The counts ``_gamma`` adds and divides by, as raw values: L rounded
+    to 240 bits as ``mpf(L)`` is, then T, k, N and s + 1 exactly, as an
+    ``mpf`` operator takes an int.  ``mpf_mul`` by an exact count rounds
+    the exact product once, as ``mpf_mul_int`` does."""
+    return (_to_mpf(b.leak_bits), from_int(b.rounds), from_int(b.num_probes),
+            from_int(b.n_bits), from_int(b.passes + 1))
+
+
+def _gamma(b: BoundInputs, qm, variant: str, counts):
+    """The two leading bound terms at a raw query count ``qm`` >= 0.
 
     The one evaluator behind every bound calculator: it computes
-    z = 1 - (alpha + k)/N and the inverse-entropy base once.
+    z = 1 - (alpha + k)/N and the inverse-entropy base once.  ``counts``
+    is ``_counts(b)``, which a sweep converts once for all its points.
     """
-    if qm == 0:
-        return _ZERO, _ZERO
-    m, k, s, T = b.msg_bits, b.num_probes, b.passes, b.rounds
-    z = 1 - (_mpf(b.leak_bits) + m * (qm + 1) + T + k) / b.n_bits
-    if z < 0:
+    if mpf_eq(qm, fzero):
+        return fzero, fzero
+    m, k, s = b.msg_bits, b.num_probes, b.passes
+    leak, rounds, probes, n_bits, passes_1 = counts
+    used = mpf_add(leak,
+                   mpf_mul_int(mpf_add(qm, fone, _P, _RND), m, _P, _RND),
+                   _P, _RND)
+    used = mpf_add(mpf_add(used, rounds, _P, _RND), probes, _P, _RND)
+    z = mpf_sub(fone, mpf_div(used, n_bits, _P, _RND), _P, _RND)
+    if mpf_lt(z, fzero):
         raise _KeyTooSmall(
             f"invalid inputs: 1 - (alpha + num_probes)/n_bits = "
-            f"{mpmath.nstr(z, 6)} is negative (key too small for these "
+            f"{to_str(z, 6)} is negative (key too small for these "
             f"parameters)"
         )
-    _check_unit("z", z)  # only a NaN query count gets here outside [0, 1]
+    if z == fnan:  # only a NaN query count gets here outside [0, 1]
+        raise ValueError("z must be in [0, 1], got nan")
     base = _h_inv(z, _TOL_MPF) if variant == "exact" else _h_upper(z)
-    t1 = qm / (s + 1) * _ldexp(4 * m * qm, -m) ** s
-    half_k = base ** (k // 2) if k % 2 == 0 else base ** _ldexp(k, -1)
-    return t1, _ldexp(qm * T, -1) * half_k
+    t1 = mpf_mul(mpf_div(qm, passes_1, _P, _RND),
+                 mpf_pow_int(mpf_shift(mpf_mul_int(qm, 4 * m, _P, _RND), -m),
+                             s, _P, _RND), _P, _RND)
+    if k % 2 == 0:
+        half_k = mpf_pow_int(base, k // 2, _P, _RND)
+    else:
+        half_k = mpf_pow(base, mpf_shift(probes, -1), _P, _RND)
+    t2 = mpf_shift(mpf_mul(qm, rounds, _P, _RND), -1)
+    return t1, mpf_mul(t2, half_k, _P, _RND)
 
 
-def _checked_gamma(b: BoundInputs, q, variant: str):
-    """``_gamma`` at query count ``q`` after the checks of every public
-    bound calculator, in their order: the inputs, then q."""
+def _checked_gamma(b: BoundInputs, qm, variant: str):
+    """``_gamma`` at a raw query count ``qm`` after the checks of every
+    public bound calculator, in their order: the inputs, then q."""
     _check_bound(b, variant)
-    qm = _to_mpf(q)
-    if qm < 0:
+    if mpf_lt(qm, fzero):
         raise ValueError("q must be nonnegative")
-    return _gamma(b, qm, variant)
+    return _gamma(b, qm, variant, _counts(b))
 
 
 def gamma_bound(b: BoundInputs, q: Number, variant: str = "exact") -> mpmath.mpf:
     """The two leading bound terms at query count ``q``, summed."""
-    t1, t2 = _checked_gamma(b, q, variant)
-    return _out(t1 + t2)
+    t1, t2 = _checked_gamma(b, _to_mpf(q), variant)
+    return _out(mpf_add(t1, t2, _P, _RND))
 
 
 def _theorem1_terms(b: BoundInputs, variant: str = "exact") -> Dict[str, object]:
     """The four terms of ``theorem1_bound`` keyed by their formulas, in
-    the order it sums them, as 240-bit values of the private context."""
+    the order it sums them, as raw 240-bit values."""
     q, p = _to_mpf(b.queries), _to_mpf(b.oracle_calls)
     t1, t2 = _checked_gamma(b, q, variant)
     m = b.msg_bits
     return {
         "q/(s+1)*(4mq/2^m)^s": t1,
         "(qT/2)*hinv(z)^(k/2)": t2,
-        "qp/2^(m-1)": _ldexp(q * p, 1 - m),
-        "qT/2^m": _ldexp(q * b.rounds, -m),
+        "qp/2^(m-1)": mpf_shift(mpf_mul(q, p, _P, _RND), 1 - m),
+        "qT/2^m": mpf_shift(mpf_mul(q, from_int(b.rounds), _P, _RND), -m),
     }
 
 
@@ -328,7 +385,8 @@ def theorem1_bound(b: BoundInputs, variant: str = "exact") -> mpmath.mpf:
     uses the algebraic upper bound (slightly larger, cheaper still).
     """
     t1, t2, t3, t4 = _theorem1_terms(b, variant).values()
-    return _out(t1 + t2 + t3 + t4)
+    total = mpf_add(mpf_add(t1, t2, _P, _RND), t3, _P, _RND)
+    return _out(mpf_add(total, t4, _P, _RND))
 
 
 def log2_gamma(b: BoundInputs, q: Number, variant: str = "exact") -> mpmath.mpf:
@@ -337,8 +395,8 @@ def log2_gamma(b: BoundInputs, q: Number, variant: str = "exact") -> mpmath.mpf:
     mpf exponents are unbounded, so this stays exact for bounds far below
     the float range.
     """
-    t1, t2 = _checked_gamma(b, q, variant)
-    return _out(_ctx.log(t1 + t2, 2))
+    t1, t2 = _checked_gamma(b, _to_mpf(q), variant)
+    return _out(_log2(mpf_add(t1, t2, _P, _RND)))
 
 
 @dataclass(frozen=True)
@@ -360,25 +418,28 @@ def gamma_curve(b: BoundInputs, q_values: Iterable[Number]) -> List[GammaPoint]:
     negative q, the naive-adversary hypothesis q * floor(leak/m) <= 2^m
     failing, a negative inverse-entropy argument, or a bound above 1.
     """
-    c = b.leak_bits // b.msg_bits
-    two_m = _ldexp(1, b.msg_bits)
+    c = from_int(b.leak_bits // b.msg_bits)
+    two_m = mpf_shift(fone, b.msg_bits)
+    counts = _counts(b)
     points = []
     for q in q_values:
         qm = _to_mpf(q)
-        lg_q = float(_ctx.log(qm, 2)) if qm > 0 else float("-inf")
+        lg_q = (to_float(_log2(qm), rnd=_RND) if mpf_gt(qm, fzero)
+                else float("-inf"))
         neg, reason = None, ""
-        if qm < 0:
+        if mpf_lt(qm, fzero):
             reason = "q < 0"
-        elif qm * c > two_m:
+        elif mpf_gt(mpf_mul(qm, c, _P, _RND), two_m):
             reason = "q * floor(leak_bits/msg_bits) > 2^msg_bits"
         else:
             _check_bound(b, "exact")  # the pass count matters only here
             try:
-                t1, t2 = _gamma(b, qm, "exact")
+                t1, t2 = _gamma(b, qm, "exact", counts)
             except _KeyTooSmall:
                 reason = "1 - (alpha + num_probes)/n_bits < 0"
             else:
-                neg = float(-_ctx.log(t1 + t2, 2))
+                log2 = _log2(mpf_add(t1, t2, _P, _RND))
+                neg = to_float(mpf_neg(log2, _P, _RND), rnd=_RND)
                 if neg < 0:
                     neg, reason = None, "bound exceeds 1"
         points.append(GammaPoint(float(q), lg_q, neg, not reason, reason))
@@ -407,15 +468,14 @@ def naive_adv_lower(b: BoundInputs) -> NaiveAdvBound:
 
     ``simple`` is the q*c/2^m / 4 form valid under the hypothesis
     q*c <= 2^m; ``hypergeometric`` is the sharper x/(1+x) * (1 - 2^-m)
-    form with x = q*c/2^m, valid for all q.  Both are exact rationals.
+    form with x = q*c/2^m, valid for all q.  Both are exact rationals,
+    each built from integers in one step.
     """
-    q = Fraction(b.queries)
-    c = b.leak_bits // b.msg_bits
-    two_m = 2 ** b.msg_bits
-    x = q * c / two_m
-    hyper = x / (1 + x) * (1 - Fraction(1, two_m))
+    num, den = Fraction(b.queries).as_integer_ratio()
+    qc = num * int(b.leak_bits // b.msg_bits)  # x = qc / (den * 2^m)
+    two_m = 1 << b.msg_bits
     return NaiveAdvBound(
-        simple=x / 4,
-        hypergeometric=hyper,
-        hypothesis_ok=(q * c <= two_m),
+        simple=Fraction(qc, 4 * den * two_m),
+        hypergeometric=Fraction(qc * (two_m - 1), (den * two_m + qc) * two_m),
+        hypothesis_ok=qc <= two_m * den,
     )

@@ -243,8 +243,8 @@ def _cmd_bounds(args) -> int:
     variant = "closed-form" if args.closed_form else "exact"
     value = bounds.theorem1_bound(b, variant=variant)
     naive = bounds.naive_adv_lower(b)
-    simple = bounds._to_mpf(naive.simple)
-    hyper = bounds._to_mpf(naive.hypergeometric)
+    simple = bounds._out(bounds._to_mpf(naive.simple))
+    hyper = bounds._out(bounds._to_mpf(naive.hypergeometric))
     if hyper > value:
         # only the paper's theorem can say whether the bound should charge the
         # floor(leak/bits) * T calls the naive leakage spends, or lacks a term
@@ -263,7 +263,7 @@ def _cmd_bounds(args) -> int:
           f"{'holds' if naive.hypothesis_ok else 'violated'}")
     if args.terms:
         for formula, term in bounds._theorem1_terms(b, variant).items():
-            print(f"term {formula}: {mpmath.nstr(term, 10)}")
+            print(f"term {formula}: {mpmath.nstr(bounds._out(term), 10)}")
     return 0
 
 

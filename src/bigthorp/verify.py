@@ -97,27 +97,35 @@ class DistributionTable:
     """
 
     def __init__(self, n: int, mass):
-        if not 1 <= n <= _MAX_TABLE_BITS:
-            raise ValueError(f"n must be in 1..{_MAX_TABLE_BITS}, got {n}")
+        cells = 1 << _check_width("n", n)
         arr = np.asarray(mass, dtype=np.float64)
-        if arr.shape != (1 << n,):
+        if arr.shape != (cells,):
             raise ValueError(f"mass must have 2^{n} entries, got shape {arr.shape}")
         self.n = n
         self.mass = _check_masses(arr)
 
     @classmethod
     def uniform(cls, n: int) -> "DistributionTable":
-        return cls(n, np.full(1 << n, 1.0 / (1 << n)))
+        cells = 1 << _check_width("n", n)
+        return cls(n, np.full(cells, 1.0 / cells))
 
     @classmethod
     def point_mass(cls, n: int, y: int) -> "DistributionTable":
-        arr = np.zeros(1 << n)
+        arr = np.zeros(1 << _check_width("n", n))
         arr[y] = 1.0
         return cls(n, arr)
 
     @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "DistributionTable":
-        return cls(n, _random_masses(n, 1, rng)[0])
+        return cls(n, _random_masses(_check_width("n", n), 1, rng)[0])
+
+
+def _check_width(name: str, n: int, low: int = 1) -> int:
+    """``n``, after refusing a table width outside low.._MAX_TABLE_BITS;
+    each table builder checks before it allocates 2^n cells."""
+    if not low <= n <= _MAX_TABLE_BITS:
+        raise ValueError(f"{name} must be in {low}..{_MAX_TABLE_BITS}, got {n}")
+    return n
 
 
 def _check_masses(mass: np.ndarray) -> np.ndarray:
@@ -152,12 +160,9 @@ class LeakageTable:
     """Explicit total map {0,1}^n0 -> {0,1}^l0, as an integer array."""
 
     def __init__(self, n0: int, l0: int, table):
-        if not 1 <= n0 <= _MAX_TABLE_BITS:
-            raise ValueError(f"n0 must be in 1..{_MAX_TABLE_BITS}, got {n0}")
-        if not 0 <= l0 <= _MAX_TABLE_BITS:
-            raise ValueError(f"l0 must be in 0..{_MAX_TABLE_BITS}, got {l0}")
+        cells = self._cells(n0, l0)
         arr = np.asarray(table, dtype=np.int64)
-        if arr.shape != (1 << n0,):
+        if arr.shape != (cells,):
             raise ValueError(f"table must have 2^{n0} entries")
         if arr.size and (arr.min() < 0 or arr.max() >= (1 << l0)):
             raise ValueError(f"table values must lie in 0..2^{l0}-1")
@@ -165,18 +170,25 @@ class LeakageTable:
         self.l0 = l0
         self.table = arr
 
+    @staticmethod
+    def _cells(n0: int, l0: int) -> int:
+        """2^n0, after checking both widths."""
+        cells = 1 << _check_width("n0", n0)
+        _check_width("l0", l0, 0)
+        return cells
+
     @classmethod
     def random(cls, n0: int, l0: int, rng: np.random.Generator) -> "LeakageTable":
-        return cls(n0, l0, rng.integers(0, 1 << l0, size=1 << n0))
+        return cls(n0, l0, rng.integers(0, 1 << l0, size=cls._cells(n0, l0)))
 
     @classmethod
     def projection(cls, n0: int, l0: int) -> "LeakageTable":
         """Leak the first l0 bits (the low bits, under the packing order)."""
-        return cls(n0, l0, np.arange(1 << n0) & ((1 << l0) - 1))
+        return cls(n0, l0, np.arange(cls._cells(n0, l0)) & ((1 << l0) - 1))
 
     @classmethod
     def constant(cls, n0: int, l0: int, value: int = 0) -> "LeakageTable":
-        return cls(n0, l0, np.full(1 << n0, value))
+        return cls(n0, l0, np.full(cls._cells(n0, l0), value))
 
     def fiber(self, leak_value: int) -> np.ndarray:
         return np.flatnonzero(self.table == leak_value)

@@ -1,5 +1,6 @@
 """Entropy numerics, the advantage bound, curve emission, naive adversary."""
 
+import ast
 import dataclasses
 import io
 import math
@@ -8,9 +9,10 @@ import sys
 import threading
 from fractions import Fraction
 
+import bounds_reference as ref
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bigthorp import bounds as bounds_module
@@ -26,6 +28,7 @@ from bigthorp import (
     theorem1_bound,
     write_curve_csv,
 )
+from bigthorp.bounds import NaiveAdvBound
 
 # the worked example the calculators are anchored on: terabyte key,
 # 2^40-bit leakage budget, 128-bit messages, 500 probes, two passes
@@ -279,6 +282,166 @@ def test_threads_share_the_sweep_bit_for_bit():
         assert got == serial
 
 
+# -- the mpf-operator reference ---------------------------------------------
+# bounds evaluates on raw libmp tuples; tests/bounds_reference.py keeps the
+# same evaluators written with mpf operators on a 240-bit context, and
+# every value must be the same tuple
+
+
+def _outcome(call):
+    """``call()``'s ``_mpf_`` tuple (or its value), or the ValueError it
+    raised as (type name without a leading underscore, message)."""
+    try:
+        got = call()
+    except ValueError as e:
+        return type(e).__name__.lstrip("_"), str(e)
+    return getattr(got, "_mpf_", got)
+
+
+def test_sweep_matches_the_mpf_operator_reference():
+    assert gamma_curve(EXAMPLE, SWEEP_QS) == ref.gamma_curve(EXAMPLE, SWEEP_QS)
+    for q in SWEEP_QS:
+        at_q = dataclasses.replace(EXAMPLE, queries=q)
+        for variant in ("exact", "closed-form"):
+            assert gamma_bound(EXAMPLE, q, variant)._mpf_ == ref.gamma_bound(
+                EXAMPLE, q, variant), (q, variant)
+            assert log2_gamma(EXAMPLE, q, variant)._mpf_ == ref.log2_gamma(
+                EXAMPLE, q, variant), (q, variant)
+            assert theorem1_bound(at_q, variant)._mpf_ == ref.theorem1_bound(
+                at_q, variant), (q, variant)
+
+
+_REFERENCE_ZS = [
+    0, 1, 5e-324, 1e-300, 1e-60, 1e-11, 2**-53, 0.3, 0.5, 0.875, 1 - 1e-15,
+    1 - 2**-53, Fraction(7, 8), Fraction(1, 3), Fraction(1) - Fraction(1, 10**30),
+    mpmath.mpf("0.3"), True,
+] + [random.Random(3).random() for _ in range(20)]
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-4])
+def test_entropy_numerics_match_the_mpf_operator_reference(tol):
+    for z in _REFERENCE_ZS + SWEEP_ZS:
+        assert entropy_h_inv(z, tol)._mpf_ == ref.entropy_h_inv(z, tol), z
+    for p in _REFERENCE_ZS:
+        assert entropy_h(p)._mpf_ == ref.entropy_h(p), p
+        assert h_inv_upper(p)._mpf_ == ref.h_inv_upper(p), p
+
+
+@pytest.mark.parametrize("z", [1e-60, 1 - 1e-15, 0.3, Fraction(7, 8)])
+def test_bisection_matches_the_mpf_operator_reference(z):
+    # tol 1e-100 is finer than the 240-bit grid: the bisection finishes
+    assert entropy_h_inv(z, 1e-100)._mpf_ == ref.entropy_h_inv(z, 1e-100)
+
+
+_QUERIES = st.one_of(
+    st.integers(0, 2**40),
+    st.floats(0, 2.0**40),
+    st.fractions(min_value=0, max_value=2**40, max_denominator=10**9),
+)
+
+
+@st.composite
+def _bound_inputs(draw):
+    passes = draw(st.integers(1, 3))
+    msg_bits = draw(st.integers(1, 160))
+    fields = dict(
+        # a small key is mostly too small for the inputs, a large one fits
+        n_bits=draw(st.one_of(st.integers(1, 2**20), st.integers(1, 2**62))),
+        leak_bits=draw(st.integers(0, 2**44)),
+        msg_bits=msg_bits,
+        num_probes=draw(st.integers(0, 600)),
+        passes=passes,
+        queries=draw(_QUERIES),
+        oracle_calls=draw(st.one_of(st.just(0), st.integers(1, 2**20),
+                                    st.floats(0, 2.0**20))),
+    )
+    rounds = draw(st.one_of(st.none(), st.integers(0, 2000)))
+    if rounds is None:
+        return BoundInputs.from_passes(**fields)
+    return BoundInputs(rounds=rounds, **fields)
+
+
+_KEY_TOO_SMALL = BoundInputs.from_passes(
+    n_bits=128, leak_bits=64, msg_bits=8, num_probes=17, passes=1, queries=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bound_inputs())
+@example(_KEY_TOO_SMALL)
+@example(dataclasses.replace(EXAMPLE, passes=0))
+@example(dataclasses.replace(  # counts given as whole floats
+    EXAMPLE, n_bits=2.0**43, leak_bits=2.0**40, num_probes=501.0, passes=2.0,
+    rounds=510.0))
+@example(dataclasses.replace(EXAMPLE, num_probes=501, oracle_calls=Fraction(7, 3),
+                             queries=Fraction(2**30, 3)))
+def test_calculators_match_the_mpf_operator_reference(b):
+    q = b.queries
+    for variant in ("exact", "closed-form"):
+        assert _outcome(lambda: theorem1_bound(b, variant)) == _outcome(
+            lambda: ref.theorem1_bound(b, variant))
+        assert _outcome(lambda: gamma_bound(b, q, variant)) == _outcome(
+            lambda: ref.gamma_bound(b, q, variant))
+    assert _outcome(lambda: log2_gamma(b, q)) == _outcome(
+        lambda: ref.log2_gamma(b, q))
+    qs = [q, q / 3, 1, 0]
+    assert _outcome(lambda: gamma_curve(b, qs)) == _outcome(
+        lambda: ref.gamma_curve(b, qs))
+    assert naive_adv_lower(b) == NaiveAdvBound(*ref.naive_adv_lower(b))
+
+
+def test_key_too_small_raises_the_reference_error():
+    outcome = _outcome(lambda: theorem1_bound(_KEY_TOO_SMALL))
+    assert outcome == _outcome(lambda: ref.theorem1_bound(_KEY_TOO_SMALL))
+    assert outcome[0] == "KeyTooSmall"
+    assert "= -0.0625 is negative" in outcome[1]
+
+
+@pytest.mark.parametrize("q", [math.nan, math.inf, -1.0])
+def test_non_finite_queries_fail_as_the_reference_does(q):
+    for variant in ("exact", "closed-form"):
+        assert _outcome(lambda: gamma_bound(EXAMPLE, q, variant)) == _outcome(
+            lambda: ref.gamma_bound(EXAMPLE, q, variant))
+    assert _outcome(lambda: gamma_curve(EXAMPLE, [q])) == _outcome(
+        lambda: ref.gamma_curve(EXAMPLE, [q]))
+
+
+def _dotted(node):
+    """'a.b.c' for an attribute chain rooted at a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id, *reversed(parts)])
+
+
+def test_bounds_holds_no_mpmath_context():
+    # the evaluators are libmp calls at a fixed precision: bounds makes no
+    # MPContext, never sets or scopes a precision, and reads mpmath.mp only
+    # to wrap a result (mpmath.mpf is named only as a return annotation)
+    path = bounds_module.__file__
+    tree = ast.parse(open(path).read(), path)
+    annotations = {id(node) for f in ast.walk(tree)
+                   if isinstance(f, ast.FunctionDef) and f.returns
+                   for node in ast.walk(f.returns)}
+    inner = {id(node.value) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.module in ("__future__", "dataclasses", "fractions",
+                                   "typing", "mpmath.libmp", "thorp"), node.module
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        assert name not in ("MPContext", "workprec", "workdps", "extraprec",
+                            "extradps", "prec", "dps"), node.lineno
+        if isinstance(node, ast.Attribute) and id(node) not in inner:
+            dotted = _dotted(node)
+            if dotted and dotted.startswith("mpmath."):
+                assert dotted == "mpmath.mp.make_mpf" or (
+                    dotted == "mpmath.mpf" and id(node) in annotations
+                ), (dotted, node.lineno)
+
+
 def _assert_near_500bit_root(z, tol=1e-12):
     ours = entropy_h_inv(z, tol=tol)
     with mpmath.workprec(500):
@@ -286,9 +449,11 @@ def _assert_near_500bit_root(z, tol=1e-12):
 
 
 def _spy_upper_seed(monkeypatch):
+    # the fallback seed is h_inv_upper's value, which the solver takes
+    # from the private helper behind it
     seeds = []
-    upper = bounds_module.h_inv_upper
-    monkeypatch.setattr(bounds_module, "h_inv_upper",
+    upper = bounds_module._h_upper
+    monkeypatch.setattr(bounds_module, "_h_upper",
                         lambda z: seeds.append(z) or upper(z))
     return seeds
 
@@ -296,7 +461,7 @@ def _spy_upper_seed(monkeypatch):
 @pytest.mark.parametrize("z", [1e-60, 1 - 1e-15])
 def test_h_inv_float_seed_fallback(z, monkeypatch):
     # the float64 solve leaves (1/2, 1) at 1e-60 and lands below the root
-    # at 1 - 1e-15, so the solve starts from h_inv_upper
+    # at 1 - 1e-15, so the solve starts from the upper bound
     seeds = _spy_upper_seed(monkeypatch)
     _assert_near_500bit_root(z)
     assert len(seeds) == 1
@@ -367,6 +532,9 @@ def test_bound_inputs_validation():
     with pytest.raises(ValueError):
         BoundInputs(n_bits=64, leak_bits=1, msg_bits=8, num_probes=1,
                     passes=1, rounds=15, queries=-2)
+    for name in ("n_bits", "leak_bits", "num_probes", "passes", "rounds"):
+        with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+            dataclasses.replace(EXAMPLE, **{name: getattr(EXAMPLE, name) + 0.5})
 
 
 # -- the advantage bound ----------------------------------------------------

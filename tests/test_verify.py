@@ -9,6 +9,7 @@ than against the implementation's own output.
 import itertools
 import json
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -68,6 +69,29 @@ def test_distribution_table_constructors():
     r = DistributionTable.random(4, np.random.default_rng(9))
     assert r.mass.shape == (16,)
     assert (r.mass >= 0).all()
+
+
+@pytest.mark.parametrize("build", [
+    lambda n, rng: DistributionTable.random(n, rng),
+    lambda n, rng: DistributionTable.uniform(n),
+    lambda n, rng: DistributionTable.point_mass(n, 0),
+    lambda n, rng: LeakageTable.random(n, 1, rng),
+    lambda n, rng: LeakageTable.projection(n, 1),
+    lambda n, rng: LeakageTable.constant(n, 1),
+])
+def test_table_builders_refuse_a_wide_table_before_building_it(build):
+    # a width past 20 bits is refused before its 2^n cells are drawn
+    rng = np.random.default_rng(5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"n0? must be in 1\.\.20, got 22"):
+            build(22, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(ValueError):
+        build(30, rng)  # 8 GiB of cells: a ValueError, not a MemoryError
 
 
 def test_leakage_table_validation():
