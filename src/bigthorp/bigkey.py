@@ -130,7 +130,8 @@ class BigKey:
 
     ``buf`` is a bytes-like object (``bytes`` or a read-only
     ``memoryview``) that holds exactly the ceil(n_bits / 8) key bytes; an
-    object without the buffer protocol raises ``TypeError``.  Other
+    object without the buffer protocol raises ``TypeError``.  Besides the
+    cipher kernels of ``thorp``, which read the buffer directly, other
     modules read key bits through ``get_bit`` and ``subkey``.  A key from
     ``load`` also owns the ``mmap`` under its view, which ``close`` releases.
     """

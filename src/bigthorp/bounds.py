@@ -261,6 +261,7 @@ class BoundInputs:
                      "passes", "rounds"):
             if getattr(self, name) % 1:
                 raise ValueError(f"{name} must be a whole number")
+        object.__setattr__(self, "msg_bits", int(self.msg_bits))  # a shift
 
     @classmethod
     def from_passes(

@@ -80,7 +80,8 @@ class OracleQuery:
 
 
 class Oracle:
-    """Base class: stream dispatch plus a distinct-query counter.
+    """Base class: a distinct-query counter and ``stream``.  Each backend's
+    ``stream_bytes`` refuses a negative length, counts the query and streams.
 
     The counter needs no lock: in CPython, ``set.add`` of a ``bytes`` key and
     ``len`` of a set are each one atomic operation.  With the GIL no Python
@@ -98,23 +99,17 @@ class Oracle:
     def stream(self, query: OracleQuery, n: int) -> bytes:
         return self.stream_bytes(query.to_bytes(), n)
 
-    def stream_bytes(self, query_bytes: bytes, n: int) -> bytes:
-        """``stream`` for a query already serialized with ``to_bytes``."""
-        if n < 0:
-            raise ValueError("stream length must be nonnegative")
-        self._seen.add(query_bytes)
-        return self._stream(query_bytes, n)
-
-    def _stream(self, query_bytes: bytes, n: int) -> bytes:
-        raise NotImplementedError
-
 
 class Shake256Oracle(Oracle):
     """Production backend: SHAKE-256 XOF over the serialized query."""
 
     identifier = "shake256"
 
-    def _stream(self, query_bytes: bytes, n: int) -> bytes:
+    def stream_bytes(self, query_bytes: bytes, n: int) -> bytes:
+        """``stream`` for a query already serialized with ``to_bytes``."""
+        if n < 0:
+            raise ValueError("stream length must be nonnegative")
+        self._seen.add(query_bytes)
         return hashlib.shake_256(query_bytes).digest(n)
 
 
@@ -149,7 +144,10 @@ class ScriptedOracle(Oracle):
         self._default = None if default_script is None else bytes(default_script)
         self._seed = seed
 
-    def _stream(self, query_bytes: bytes, n: int) -> bytes:
+    def stream_bytes(self, query_bytes: bytes, n: int) -> bytes:
+        if n < 0:
+            raise ValueError("stream length must be nonnegative")
+        self._seen.add(query_bytes)
         body = self._scripts.get(query_bytes, self._default)
         if body is None:
             material = (

@@ -36,14 +36,16 @@ since each word is accepted with probability above 1/2.
 
 ``encrypt`` and ``decrypt`` check their arguments once and run every round
 of a block in the kernel ``_rounds`` on the state held as an integer.  It
-calls ``_accept`` only when one of the words' top bytes reaches the
-threshold's top byte.  Each mask byte then picks, through a cached table
-of ``struct`` unpackers (``_picks``), just the selected words of its group
-of eight, which are reduced by mask when N is a power of two and by ``%``
-otherwise.  ``verify.bias_estimate`` does the same in batches through the
-numpy kernel ``_round_bits``, which fixes rejected rows in place, and
-numpy is imported only when that kernel runs.  The two kernels read the
-key's buffer directly; outside ``bigkey`` nothing else does.
+calls ``_accept`` only when the response holds ``_reject_prefix``, the
+0xFF bytes that every rejected word begins with: five at N = 10^6 + 3, and
+none (so every round) where 2^64 mod N >= 2^56, which needs N > 2^56.  Each
+mask byte then picks, through a cached table of ``struct`` unpackers
+(``_picks``), just the selected words of its group of eight, which are
+reduced by mask when N is a power of two and by ``%`` otherwise.
+``verify.bias_estimate`` does the same in batches through the numpy kernel
+``_round_bits``, which fixes rejected rows in place, and numpy is imported
+only when that kernel runs.  The two kernels read the key's buffer
+directly; outside ``bigkey`` nothing else does.
 
 ``round_forward`` and ``round_backward`` are single rounds on bit strings,
 taking F from the staged ``derive_probes`` and ``draw_bit``; ``draw_bit``
@@ -60,7 +62,7 @@ from typing import Tuple
 
 from .bigkey import BigKey
 from .bitstring import BitString
-from .oracle import _HEAD, _MAX_MSG_BITS, _U64_MAX, PROBE_TAG, Oracle, OracleQuery
+from .oracle import _MAX_MSG_BITS, _U64_MAX, PROBE_TAG, Oracle, OracleQuery
 
 REJECTION_CAP = 1000
 _WORD = 8
@@ -156,6 +158,11 @@ def _accept(stream, query, data: bytes, k: int, threshold: int) -> bytes:
     return b"".join(accepted) + data[pos:mask_end]
 
 
+def _reject_prefix(threshold: int) -> bytes:
+    """The whole 0xFF bytes that every word in [threshold, 2^64) begins with."""
+    return b"\xff" * ((64 - (_B - threshold).bit_length()) // 8)
+
+
 @cache
 def _picks(width: int):
     """Per mask byte b, ``unpack_from(data, offset)`` of a group of ``width``
@@ -171,25 +178,28 @@ def _rounds(x: int, key: BigKey, oracle: Oracle, params: CipherParams,
     """All rounds on the state held as a big-endian int (bit 1 on top).
 
     A round makes one ``oracle.stream_bytes`` request for the query
-    ``encode_query(PROBE_TAG, r, m, rest)``, unless a probe word is
-    rejected.  Callers check once that the state and key fit ``params``.
+    ``encode_query(PROBE_TAG, r, m, rest)``, built as one int, unless a
+    probe word is rejected.  Callers check state and key against ``params``.
     """
     m, k, n = params.msg_bits, params.num_probes, params.n_bits
-    buf, stream, head = key._buf, oracle.stream_bytes, _HEAD.pack
+    buf, stream = key._buf, oracle.stream_bytes
     threshold = n * (_B // n)
     pow2, low_n = threshold == _B, n - 1  # N is a power of two: nothing rejects
-    top_byte = threshold >> 56  # a rejected word's top byte is at least this
+    prefix = _reject_prefix(threshold)
     mask_at = _WORD * k
     need = mask_at + (k + 7) // 8
     # (unpackers, offset of the first word, index of the mask byte) per group
     groups = [(_picks(min(8, k - 8 * g)), _WORD * 8 * g, mask_at + g)
               for g in range(need - mask_at)]
     rest_bytes, top = (m + 6) // 8, m - 1
-    low = (1 << top) - 1
-    order = range(1, params.rounds + 1) if forward else range(params.rounds, 0, -1)
-    for r in order:
+    low, size = (1 << top) - 1, 11 + rest_bytes
+    step = 1 << 8 * (rest_bytes + 2)  # one round, in the query as an int
+    base = (PROBE_TAG << 80 | m) << 8 * rest_bytes  # tag and width in place
+    order = (range(base + step, base + (params.rounds + 1) * step, step)
+             if forward else range(base + params.rounds * step, base, -step))
+    for head in order:
         rest = x & low if forward else x >> 1
-        query = head(PROBE_TAG, r, m) + rest.to_bytes(rest_bytes, "big")
+        query = (head | rest).to_bytes(size, "big")
         data = stream(query, need)
         acc = 0
         if pow2:
@@ -198,7 +208,7 @@ def _rounds(x: int, key: BigKey, oracle: Oracle, params: CipherParams,
                     p = word & low_n
                     acc ^= buf[p >> 3] >> (p & 7)
         else:
-            if max(data[0:mask_at:_WORD]) >= top_byte:
+            if prefix in data:
                 data = _accept(stream, query, data, k, threshold)
             for picks, at, b in groups:
                 for word in picks[data[b]](data, at):

@@ -537,6 +537,25 @@ def test_bound_inputs_validation():
             dataclasses.replace(EXAMPLE, **{name: getattr(EXAMPLE, name) + 0.5})
 
 
+def test_whole_float_msg_bits_works_as_its_int():
+    # a whole-float m is a count like the others: every calculator gives the
+    # int's results, though libmp takes a shift count only as an int
+    fields = dict(n_bits=2**43, leak_bits=2**40, num_probes=500, passes=2,
+                  queries=2**30, oracle_calls=3)
+    whole = BoundInputs.from_passes(msg_bits=128.0, **fields)
+    exact = BoundInputs.from_passes(msg_bits=128, **fields)
+    assert type(whole.msg_bits) is int
+    qs = [1, 2.0**20, 2**30]
+    for variant in ("exact", "closed-form"):
+        assert theorem1_bound(whole, variant) == theorem1_bound(exact, variant)
+        for q in qs:
+            assert gamma_bound(whole, q, variant) == gamma_bound(exact, q, variant)
+    qs += [2.0**60]  # the key is too small here, and the curve says so
+    assert gamma_curve(whole, qs) == gamma_curve(exact, qs)
+    assert not gamma_curve(whole, qs)[-1].valid
+    assert naive_adv_lower(whole) == naive_adv_lower(exact)
+
+
 # -- the advantage bound ----------------------------------------------------
 
 

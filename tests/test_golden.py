@@ -198,7 +198,7 @@ def rejecting_stream(query, n):
 
 
 class RejectingOracle(Oracle):
-    def _stream(self, query_bytes, n):
+    def stream_bytes(self, query_bytes, n):
         return rejecting_stream(query_bytes, n)
 
 

@@ -7,7 +7,10 @@ import sys
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from bigthorp import thorp
 from bigthorp import (
     PROBE_TAG,
     BigKey,
@@ -26,7 +29,7 @@ from bigthorp import (
     seed_randomness,
 )
 from bigthorp.oracle import encode_query
-from bigthorp.thorp import _accept, _round_bits
+from bigthorp.thorp import _accept, _reject_prefix, _round_bits
 
 
 def params_for(n_bits, msg_bits=5, num_probes=3, rounds=9):
@@ -333,12 +336,14 @@ def test_round_function_matches_staged_pair_on_both_key_kinds(
 
 def _boundary_scripts(n_bits, m, k, rounds):
     """Streams for every query of an m-bit cipher, in four kinds by
-    (round, input): a word equal to threshold - 1, whose top byte 0xFF
-    passes the kernel's top-byte test but which is accepted; a word equal to
-    the threshold, which is rejected; both; or neither.  The last mask byte
-    has its bits above k set."""
+    (round, input): a word equal to threshold - 1, which begins with the
+    rejection prefix, so that the kernel's prefix test sends it to
+    ``_accept``, which accepts it; a word equal to the threshold, which is
+    rejected; both; or neither.  The last mask byte has its bits above k
+    set."""
     threshold = n_bits * (2**64 // n_bits)
-    assert (threshold - 1) >> 56 == 0xFF
+    prefix = _reject_prefix(threshold)
+    assert prefix and (threshold - 1).to_bytes(8, "big").startswith(prefix)
     scripts = {}
     for r in range(1, rounds + 1):
         for x in range(1 << (m - 1)):
@@ -373,6 +378,92 @@ def test_kernel_rejection_test_at_the_threshold(k):
         for t in range(rounds, 0, -1):
             state = round_backward(state, t, key, oracle, p)
         assert state == msg
+
+
+def _record_accepts(monkeypatch):
+    """The queries the cipher kernel passes to ``_accept``, as they come."""
+    entered, inner = [], thorp._accept
+
+    def accept(stream, query, data, k, threshold):
+        entered.append(query)
+        return inner(stream, query, data, k, threshold)
+
+    monkeypatch.setattr(thorp, "_accept", accept)
+    return entered
+
+
+@pytest.mark.parametrize("k", [5, 13])
+def test_kernel_sends_exactly_the_prefixed_rounds_to_accept(monkeypatch, k):
+    # a round reaches _accept when one of its k words is threshold - 1 or
+    # the threshold, and no other round does
+    m, n_bits, rounds = 6, 1001, 11
+    threshold = n_bits * (2**64 // n_bits)
+    p = CipherParams(n_bits=n_bits, msg_bits=m, num_probes=k, rounds=rounds)
+    scripts = _boundary_scripts(n_bits, m, k, rounds)
+    oracle = ScriptedOracle(scripts=scripts)
+    key = BigKey.generate(n_bits, seed_randomness((n_bits + 7) // 8, k))
+    streamed, inner, need = [], oracle.stream_bytes, 8 * k + (k + 7) // 8
+
+    def stream_bytes(q, n):  # a round's first request; not its extensions
+        if n == need:
+            streamed.append(q)
+        return inner(q, n)
+
+    oracle.stream_bytes = stream_bytes
+    entered = _record_accepts(monkeypatch)
+    for x in range(1 << m):
+        msg = BitString.from_int(x, m)
+        assert decrypt(encrypt(msg, key, oracle, p), key, oracle, p) == msg
+    edges = {q: {threshold - 1, threshold}.intersection(
+        int.from_bytes(scripts[q][i : i + 8], "big") for i in range(0, 8 * k, 8))
+        for q in streamed}
+    assert entered == [q for q in streamed if edges[q]]
+    # every case is met: below, at, and both sides of the threshold
+    assert {frozenset(e) for e in edges.values()} == {
+        frozenset(), frozenset({threshold - 1}), frozenset({threshold}),
+        frozenset({threshold - 1, threshold})}
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_bits=st.one_of(st.integers(1, 2**64 - 1),
+                        st.builds(lambda e: 1 << e, st.integers(0, 63))),
+       offset=st.integers(0, 2**64 - 1))
+@example(n_bits=1 << 12, offset=0)
+@example(n_bits=2**56 - 1, offset=0)
+@example(n_bits=2**56, offset=0)
+@example(n_bits=1001, offset=0)
+@example(n_bits=10**6 + 3, offset=0)
+@example(n_bits=2**56 + 1, offset=2**64 - 1)
+@example(n_bits=2**63 + 1, offset=0)
+@example(n_bits=2**64 - 1, offset=0)
+def test_every_rejected_word_begins_with_the_prefix(n_bits, offset):
+    threshold = n_bits * (2**64 // n_bits)
+    prefix = _reject_prefix(threshold)
+    assert prefix == b"\xff" * len(prefix)
+    # empty only when 2^64 mod N >= 2^56, which needs N > 2^56
+    assert (prefix == b"") == (2**64 - threshold >= 2**56)
+    if n_bits == 10**6 + 3:
+        assert len(prefix) == 5
+    if threshold == 2**64:  # N is a power of two: no word is rejected
+        return
+    span = 2**64 - threshold
+    for word in (threshold, threshold + offset % span, 2**64 - 1):
+        assert word.to_bytes(8, "big").startswith(prefix)
+
+
+def test_bench_shape_rounds_skip_the_exact_check(monkeypatch):
+    # at N = 10^6 + 3 the prefix is five 0xFF bytes, which a SHAKE-256 round
+    # of 65 bytes all but never holds; the top-byte test it replaced sent
+    # about 3% of these rounds to _accept
+    n_bits, m, k = 10**6 + 3, 16, 8
+    p = CipherParams.from_passes(n_bits, m, k, 1)
+    key = BigKey.generate(n_bits, seed_randomness((n_bits + 7) // 8, 35))
+    oracle, rng = RecordingOracle(), random.Random(35)
+    entered = _record_accepts(monkeypatch)
+    for _ in range(2000):
+        encrypt(BitString.from_int(rng.getrandbits(m), m), key, oracle, p)
+    assert len(oracle.calls) == 2000 * p.rounds
+    assert entered == []
 
 
 def _record_sizes(oracle):
@@ -461,14 +552,17 @@ class RecordingOracle(Shake256Oracle):
         return super().stream_bytes(query_bytes, n)
 
 
-@pytest.mark.parametrize("m, k", [(2, 1), (9, 8), (16, 13), (17, 5), (64, 64)])
-def test_cipher_queries_match_encode_query(m, k):
-    # N is a power of two, so no word is rejected: one request per round,
-    # for the serialized query of (round, round input) and the k probe
-    # words plus the mask bytes
-    n_bits = 1 << 12
+@pytest.mark.parametrize("m, k, n_bits", [  # ids "m-k" at N = 2^12
+    pytest.param(m, k, n, id=f"{m}-{k}" + ("" if n == 1 << 12 else f"-{n}"))
+    for n in (1 << 12, 10**6 + 3)
+    for m, k in [(2, 1), (9, 8), (16, 13), (17, 5), (64, 64), (65, 9)]])
+def test_cipher_queries_match_encode_query(m, k, n_bits):
+    # no word of these streams is rejected (none can be when N is a power
+    # of two): one request per round, in both directions, for the
+    # serialized query of (round, round input) and the k probe words plus
+    # the mask bytes
     p = CipherParams.from_passes(n_bits, m, k, 1)
-    key = BigKey.generate(n_bits, seed_randomness(n_bits // 8, m))
+    key = BigKey.generate(n_bits, seed_randomness((n_bits + 7) // 8, m))
     need = 8 * k + (k + 7) // 8
     msg = BitString.from_int(random.Random(m).getrandbits(m), m)
     staged = Shake256Oracle()
