@@ -19,13 +19,14 @@ Key file layout, all integers big-endian::
 Key bits follow the package packing convention (bit i at position
 (i - 1) % 8 of byte (i - 1) // 8), as do the ints ``subkey`` returns
 (probe j at bit j - 1); when N is not a multiple of 8 the spare
-positions of the last byte must be zero.  The embedded oracle
-identifier pins which stream backend the key was meant for, and loading
-fails closed on a bad magic, an unknown version, a mismatched identifier,
-a wrong byte count, dirty padding, or a header checksum mismatch.  The
-checksum catches a damaged N that keeps ceil(N / 8), which nothing else
-in the file can, so version 1 files, which lack it, raise
-``KeyFileVersionError`` like any other version but 2.  Loading reads the
+positions of the last byte must be zero, in a file and in a ``BigKey``.
+The oracle identifier is always ``shake256``, the one stream backend the
+cipher runs on.  Loading fails closed on a bad magic, an unknown version,
+any other identifier, a wrong byte count, dirty padding, or a header
+checksum mismatch.  The checksum catches a damaged N that keeps
+ceil(N / 8), which nothing else in the file can, so version 1 files,
+which lack it, raise ``KeyFileVersionError`` like any other version but
+2.  Loading reads the
 header and the last 5 bytes (last key byte and checksum), so it costs the
 same at any N; only a key loaded ``in_memory`` reads the body.  A mapped
 key is advised ``MADV_RANDOM`` where ``mmap`` offers it.  Probes land on
@@ -46,7 +47,6 @@ import mmap
 import os
 import tempfile
 import zlib
-from typing import Optional
 
 from .oracle import _U64_MAX, KEYGEN_TAG, OracleQuery, Shake256Oracle
 
@@ -67,7 +67,7 @@ class KeyFileVersionError(KeyFileError):
 
 
 class OracleMismatchError(KeyFileError):
-    """Key file pins a different oracle backend than the caller expects."""
+    """Key file names an oracle backend other than ``shake256``."""
 
 
 def seed_randomness(n_bytes: int, seed: int) -> bytes:
@@ -81,10 +81,8 @@ def seed_randomness(n_bytes: int, seed: int) -> bytes:
     return Shake256Oracle().stream(query, n_bytes)
 
 
-def _encode_header(n_bits: int, oracle_id: str) -> bytes:
-    ident = oracle_id.encode("ascii")
-    if not 1 <= len(ident) <= 255:
-        raise ValueError("oracle identifier must be 1..255 ASCII bytes")
+def _encode_header(n_bits: int) -> bytes:
+    ident = Shake256Oracle.identifier.encode("ascii")
     return MAGIC + bytes([VERSION, len(ident)]) + ident + n_bits.to_bytes(8, "big")
 
 
@@ -95,8 +93,8 @@ def _crc(header: bytes) -> bytes:
 def _decode(head: bytes, tail: bytes, size: int):
     """Check a key file from its first ``_HEAD_MAX`` bytes (fewer if it is
     shorter), its last 5 bytes and its size, without I/O; the inverse of
-    ``_encode_header`` plus the trailer.  Returns (oracle_id, n_bits,
-    offset), where the key bytes start at ``offset`` in the file."""
+    ``_encode_header`` plus the trailer.  Returns (oracle identifier,
+    n_bits, offset), where the key bytes start at ``offset`` in the file."""
     if head[:4] != MAGIC:
         raise KeyFileError("not a key file (bad magic)")
     if len(head) < 5:
@@ -129,36 +127,35 @@ class BigKey:
     """An N-bit key in a flat read-only buffer, with probe-local access.
 
     ``buf`` is a bytes-like object (``bytes`` or a read-only
-    ``memoryview``) that holds exactly the ceil(n_bits / 8) key bytes; an
-    object without the buffer protocol raises ``TypeError``.  Besides the
-    cipher kernels of ``thorp``, which read the buffer directly, other
-    modules read key bits through ``get_bit`` and ``subkey``.  A key from
-    ``load`` also owns the ``mmap`` under its view, which ``close`` releases.
+    ``memoryview``) that holds exactly the ceil(n_bits / 8) key bytes with
+    zero padding bits; an object without the buffer protocol raises
+    ``TypeError``.  Besides the cipher kernels of ``thorp``, which read the
+    buffer directly, other modules read key bits through ``subkey``.  A key
+    from ``load`` also owns the ``mmap`` under its view, which ``close``
+    releases.
     """
 
-    def __init__(self, n_bits: int, buf, oracle_id: str = Shake256Oracle.identifier):
+    def __init__(self, n_bits: int, buf):
         if not _MIN_BITS <= n_bits <= _U64_MAX:
             raise ValueError(f"key size {n_bits} out of range {_MIN_BITS}..2^64-1")
+        needed = (n_bits + 7) // 8
         # released at once: a view left open would make a mapped key's
         # close raise BufferError
         with memoryview(buf) as view:
-            size = view.nbytes
-        needed = (n_bits + 7) // 8
-        if size != needed:
-            raise ValueError(
-                f"buffer holds {size} key bytes, key of {n_bits} "
-                f"bits needs {needed}"
-            )
+            if view.nbytes != needed:
+                raise ValueError(f"buffer holds {view.nbytes} key bytes, key "
+                                 f"of {n_bits} bits needs {needed}")
+            # load refuses these, so save must never write them
+            if n_bits % 8 and view[-1] >> n_bits % 8:
+                raise ValueError("nonzero padding bits")
         self.n_bits = n_bits
-        self.oracle_id = oracle_id
         self._buf = buf
         self._mmap = None
 
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def generate(cls, n_bits: int, randomness,
-                 oracle_id: str = Shake256Oracle.identifier) -> "BigKey":
+    def generate(cls, n_bits: int, randomness) -> "BigKey":
         """Fill a key from caller-supplied randomness.
 
         ``randomness`` is a bytes-like object of at least ceil(n_bits / 8)
@@ -174,15 +171,10 @@ class BigKey:
             )
         if n_bits % 8 and data:  # no data: n_bits < 1, refused below
             data = data[:-1] + bytes([data[-1] & ((1 << (n_bits % 8)) - 1)])
-        return cls(n_bits, data, oracle_id)
+        return cls(n_bits, data)
 
     @classmethod
-    def load(
-        cls,
-        path,
-        expected_oracle: Optional[str] = Shake256Oracle.identifier,
-        in_memory: bool = False,
-    ) -> "BigKey":
+    def load(cls, path, in_memory: bool = False) -> "BigKey":
         """Open a key file, validating every header field before use.
 
         It reads the head (at most ``_HEAD_MAX`` bytes) and the last 5
@@ -197,23 +189,21 @@ class BigKey:
                 ident, n_bits, offset = _decode(head, f.read(5), size)
             except KeyFileError as e:
                 raise type(e)(f"{path}: {e}") from None
-            if expected_oracle is not None and ident != expected_oracle:
+            if ident != Shake256Oracle.identifier:
                 raise OracleMismatchError(
-                    f"{path}: key pins oracle {ident!r}, expected "
-                    f"{expected_oracle!r}"
-                )
+                    f"{path}: key pins oracle {ident!r}, not 'shake256'")
             if not in_memory:
                 mapping = mmap.mmap(f.fileno(), size - 4, access=mmap.ACCESS_READ)
                 if hasattr(mmap, "MADV_RANDOM"):
                     mapping.madvise(mmap.MADV_RANDOM)
-                key = cls(n_bits, memoryview(mapping)[offset:], ident)
+                key = cls(n_bits, memoryview(mapping)[offset:])
                 key._mmap = mapping
                 return key
             f.seek(offset)
             buf = f.read(size - offset - 4)
         if len(buf) != size - offset - 4:
             raise KeyFileError(f"{path}: short read")
-        return cls(n_bits, buf, ident)
+        return cls(n_bits, buf)
 
     def save(self, path):
         """Write the key file through a temporary file renamed over ``path``.
@@ -225,7 +215,7 @@ class BigKey:
         fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=folder)
         try:
             with os.fdopen(fd, "wb") as f:
-                header = _encode_header(self.n_bits, self.oracle_id)
+                header = _encode_header(self.n_bits)
                 f.write(header)
                 with memoryview(self._buf) as data:  # slices are not copies
                     for pos in range(0, len(data), _COPY_CHUNK):
@@ -237,11 +227,6 @@ class BigKey:
             raise
 
     # -- access ----------------------------------------------------------
-
-    def get_bit(self, i: int) -> int:
-        if not 1 <= i <= self.n_bits:
-            raise IndexError(f"key bit index {i} out of range 1..{self.n_bits}")
-        return self._buf[(i - 1) >> 3] >> ((i - 1) & 7) & 1
 
     def subkey(self, probes) -> int:
         """The probed bits, repeats included, packed: probe j is bit j - 1."""

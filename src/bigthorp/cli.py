@@ -13,7 +13,7 @@ Numeric arguments are range-checked where argparse parses them, so an out
 of range value is a usage error, and so is a cipher shape that
 ``CipherParams`` refuses once the key's size is known (``--passes S``
 whose S * (2M - 1) rounds overflow the query's 8-byte round field).  The
-field limits come from ``oracle``.
+shape limits, the probe ceiling among them, come from ``oracle``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import mpmath
 
 from . import bigkey, bounds, thorp, verify
 from .bitstring import BitString
-from .oracle import _MAX_MSG_BITS, _U64_MAX, Shake256Oracle
+from .oracle import _MAX_MSG_BITS, _MAX_PROBES, _U64_MAX, Shake256Oracle
 from .thorp import CipherParams
 
 _ENV_KEY = "BIGTHORP_KEY"
@@ -93,8 +93,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bits", type=_number(int, 2, high=_MAX_MSG_BITS),
                        required=True, metavar="M",
                        help="message width in bits (2 to 65535)")
-        p.add_argument("--probes", type=_number(int, 1), required=True,
-                       metavar="K", help="key probes per round-function call")
+        p.add_argument("--probes", type=_number(int, 1, high=_MAX_PROBES),
+                       required=True, metavar="K",
+                       help="key probes per round-function call (1 to 2^16)")
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--passes", type=_number(int, 1), metavar="S",
                            help="pass count; rounds = S * (2M - 1)")
@@ -149,7 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    "and a key seed must fit in 8 bytes)")
     p.add_argument("--trials", type=int, default=10**4, metavar="INT",
                    help="Monte Carlo trials for the bias suite "
-                   "(default 10^4)")
+                   f"(10^4 to {verify._MAX_TRIALS}, default 10^4)")
     p.add_argument("--json", default=None, metavar="PATH",
                    help="also write a machine-readable summary")
     p.set_defaults(run=_cmd_verify)
@@ -292,9 +293,10 @@ def _cmd_curve(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = sorted(verify.SUITES) if args.all else list(dict.fromkeys(args.suite))
-    if "bias" in names and args.trials < verify._MIN_TRIALS:
-        print(f"error: --trials must be at least {verify._MIN_TRIALS} for "
-              "the bias suite", file=sys.stderr)
+    if "bias" in names and not (
+            verify._MIN_TRIALS <= args.trials <= verify._MAX_TRIALS):
+        print(f"error: --trials must be {verify._MIN_TRIALS} to "
+              f"{verify._MAX_TRIALS} for the bias suite", file=sys.stderr)
         return 1
     results, suite_s = [], []
     for name in names:

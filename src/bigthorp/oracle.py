@@ -13,10 +13,11 @@ Widths are fixed by the msg_bits field, so distinct queries can never
 serialize to the same bytes.  Streams must be prefix-consistent: asking
 for n bytes and then n + j bytes returns the same first n bytes.
 
-This module owns the cipher's shape limits, which these fields set:
-``_U64_MAX`` bounds every 8-byte field and ``_MAX_MSG_BITS`` the 2-byte
-width.  Every other check (``CipherParams``, ``BigKey``, the CLI's
-argument ranges) imports them from here.
+This module owns the cipher's shape limits: ``_U64_MAX`` bounds every
+8-byte field, ``_MAX_MSG_BITS`` the 2-byte width, and ``_MAX_PROBES`` the
+probes per round, so that a round's first stream request, 8k + ceil(k / 8)
+bytes, is at most 520 KiB.  Every other check (``CipherParams``,
+``BigKey``, the CLI's argument ranges) imports them from here.
 
 Two backends are provided.  ``Shake256Oracle`` is the production backend
 (SHAKE-256 over the serialized query).  ``ScriptedOracle`` is for tests:
@@ -39,6 +40,8 @@ KEYGEN_TAG = 0x02
 _U64_MAX = 2**64 - 1
 # the query's width field
 _MAX_MSG_BITS = 2**16 - 1
+# probes per round: bounds the bytes one round requests
+_MAX_PROBES = 2**16
 _HEAD = struct.Struct(">BQH")
 
 

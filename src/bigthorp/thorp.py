@@ -62,7 +62,8 @@ from typing import Tuple
 
 from .bigkey import BigKey
 from .bitstring import BitString
-from .oracle import _MAX_MSG_BITS, _U64_MAX, PROBE_TAG, Oracle, OracleQuery
+from .oracle import (
+    _MAX_MSG_BITS, _MAX_PROBES, _U64_MAX, PROBE_TAG, Oracle, OracleQuery)
 
 REJECTION_CAP = 1000
 _WORD = 8
@@ -95,8 +96,9 @@ class CipherParams:
         if not 2 <= self.msg_bits <= _MAX_MSG_BITS:
             raise ValueError(
                 f"msg_bits {self.msg_bits} out of range 2..{_MAX_MSG_BITS}")
-        if self.num_probes < 1:
-            raise ValueError("num_probes must be at least 1")
+        if not 1 <= self.num_probes <= _MAX_PROBES:
+            raise ValueError(
+                f"num_probes {self.num_probes} out of range 1..{_MAX_PROBES}")
         if not 0 <= self.rounds <= _U64_MAX:
             raise ValueError(f"rounds {self.rounds} out of range 0..2^64 - 1")
 

@@ -73,6 +73,10 @@ _MAX_FIBER_BITS = 14
 _MAX_SUBSET_PROBES = 20
 _ENUM_OP_CAP = 1 << 31
 _MIN_TRIALS = 10**4
+_BIAS_ROUNDS = 1 << 16  # bias draws take round indices 1..2^16 - 1
+# twice the trials must fit in the distinct draws of the bias suite's
+# narrowest width, m = 9: 2^8 * (2^16 - 1) / 2 = 8,388,480
+_MAX_TRIALS = (1 << 8) * (_BIAS_ROUNDS - 1) // 2
 _BATCH = 1024  # queries evaluated together
 _CHUNK_CELLS = 1 << 21  # cells in one chunk of a suite's batch: 16 MiB
 _MAX_SEED = _U64_MAX - 4  # the bias suite's key seeds reach seed + 4
@@ -481,8 +485,7 @@ def bias_estimate(
             ranked = np.sort(positions, axis=1)
             distinct = 1 + (ranked[:, 1:] != ranked[:, :-1]).sum(axis=1)
             return np.ldexp(1.0, -distinct)
-    max_round = 1 << 16
-    if (1 << (m - 1)) * (max_round - 1) < 2 * trials:
+    if (1 << (m - 1)) * (_BIAS_ROUNDS - 1) < 2 * trials:
         raise ValueError("message width too small for this many distinct queries")
     stream, n = oracle.stream_bytes, key.n_bits
     rng = random.Random(seed)
@@ -495,7 +498,7 @@ def bias_estimate(
         queries = []
         while len(queries) < _BATCH and len(seen) < trials:
             r_value = draw_r(m - 1)
-            round_index = draw_round(1, max_round)
+            round_index = draw_round(1, _BIAS_ROUNDS)
             if (r_value, round_index) in seen:
                 continue
             seen.add((r_value, round_index))

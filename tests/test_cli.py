@@ -5,12 +5,14 @@ stdout/stderr can be asserted directly; one subprocess smoke test covers
 the ``python -m`` entry point.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
+import bigthorp
 from bigthorp import cli, thorp, verify
 from bigthorp.bigkey import BigKey
 from bigthorp.bitstring import BitString
@@ -190,6 +192,72 @@ def test_usage_errors_exit_one(key_path, tmp_path, monkeypatch):
     ]
     for argv in cases:
         assert main(argv) == 1, argv
+
+
+# The unbounded case runs in a child whose address space is capped just
+# above what its imports took, so a missing ceiling fails the allocation
+# instead of exhausting the host's memory.
+_MEMORY_LIMITED = """
+import resource, sys
+from bigthorp.cli import main
+with open("/proc/self/statm") as f:
+    limit = int(f.read().split()[0]) * resource.getpagesize() + (256 << 20)
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+print([main(argv) for argv in (sys.argv[1:], ["decrypt"] + sys.argv[2:])])
+"""
+
+
+def test_probe_ceiling_is_a_usage_error(key_path, capsys):
+    # 10^11 probes once built ceil(k / 8) mask groups before the first
+    # oracle call and was killed for want of memory
+    argv = _crypt_args("encrypt", key_path, "beef", probes=str(10**11))
+    done = subprocess.run([sys.executable, "-c", _MEMORY_LIMITED, *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[1, 1]"
+    assert done.stderr.count("--probes: must be at most 65536") == 2
+    for op in ("encrypt", "decrypt"):
+        assert main(_crypt_args(op, key_path, "beef", probes="65537")) == 1
+    # the ceiling itself runs, and 2^16 probes per round still invert
+    capsys.readouterr()
+    assert main(_crypt_args("encrypt", key_path, "beef", probes="65536")) == 0
+    ct = capsys.readouterr().out.strip()
+    assert main(_crypt_args("decrypt", key_path, ct, probes="65536")) == 0
+    assert capsys.readouterr().out.strip() == "beef"
+    # the bound calculators take any k
+    assert main(["bounds", "--n", str(2**43), "--leak", str(2**40), "--bits",
+                 "128", "--probes", str(10**11), "--passes", "2",
+                 "--queries", "1024"]) == 0
+
+
+def test_trials_ceiling_is_a_usage_error(monkeypatch, capsys):
+    # 2^8 round inputs at m = 9 times 2^16 - 1 round indices, halved
+    assert verify._MAX_TRIALS == 8_388_480
+    zero_key = BigKey.generate(16, b"\x00\x00")
+    m9 = CipherParams(n_bits=16, msg_bits=9, num_probes=8, rounds=17)
+    with pytest.raises(ValueError, match="message width too small"):
+        verify.bias_estimate(zero_key, Shake256Oracle(), None,
+                             verify._MAX_TRIALS + 1, m9)
+
+    def no_suite(**kwargs):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(verify, "SUITES", dict.fromkeys(verify.SUITES, no_suite))
+    capsys.readouterr()
+    trials = str(verify._MAX_TRIALS + 1)
+    for argv in (["--suite", "bias"], ["--all"]):
+        assert main(["verify", *argv, "--trials", trials]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--trials must be 10000 to 8388480" in err
+
+
+def test_keygen_file_bytes_are_pinned(tmp_path):
+    path = tmp_path / "k.bk"
+    assert main(["keygen", "--bits", "100", "--seed", "3",
+                 "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "d6d1ce53912ba4b5246df09605358f1d0437ff5cf0169c62e2b7e7433ed486c6")
 
 
 def test_io_and_format_errors_exit_two(key_path, tmp_path):
@@ -415,7 +483,7 @@ def test_verify_json_summary(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# module entry point
+# module entry point and public names
 
 
 def test_python_dash_m_entry():
@@ -425,3 +493,19 @@ def test_python_dash_m_entry():
     )
     assert proc.returncode == 0
     assert "keygen" in proc.stdout
+
+
+def test_public_names_are_pinned():
+    # a name added to or dropped from the package API shows here as a diff
+    assert bigthorp.__all__ == [
+        "BigKey", "BitString", "BoundInputs", "CipherParams", "GammaPoint",
+        "KEYGEN_TAG", "KeyFileError", "KeyFileVersionError", "NaiveAdvBound",
+        "Oracle", "OracleMismatchError", "OracleQuery", "PROBE_TAG",
+        "ProbeDraw", "ScriptedOracle", "Shake256Oracle", "decrypt",
+        "derive_probes", "draw_bit", "encrypt", "entropy_h", "entropy_h_inv",
+        "gamma_bound", "gamma_curve", "h_inv_upper", "log2_gamma",
+        "naive_adv_lower", "round_backward", "round_forward",
+        "seed_randomness", "theorem1_bound", "write_curve_csv",
+    ]
+    assert bigthorp.__all__ == sorted(bigthorp.__all__)
+    assert all(hasattr(bigthorp, name) for name in bigthorp.__all__)

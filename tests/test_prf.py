@@ -4,6 +4,7 @@ import hashlib
 import random
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -28,7 +29,7 @@ from bigthorp import (
     round_forward,
     seed_randomness,
 )
-from bigthorp.oracle import encode_query
+from bigthorp.oracle import _MAX_PROBES, encode_query
 from bigthorp.thorp import _accept, _reject_prefix, _round_bits
 
 
@@ -85,6 +86,21 @@ def test_params_validation():
     CipherParams(n_bits=2**64 - 1, msg_bits=5, num_probes=3, rounds=9)
     # rounds = 0 is the identity cipher, and legal
     CipherParams(n_bits=64, msg_bits=5, num_probes=3, rounds=0)
+
+
+def test_probe_ceiling_is_checked_before_any_allocation():
+    # k = 10^11 once reached a round, which built ceil(k / 8) mask groups
+    # before its first oracle call and ran out of memory
+    assert CipherParams(1000003, 16, _MAX_PROBES, 31).num_probes == 2**16
+    tracemalloc.start()
+    try:
+        for k in (_MAX_PROBES + 1, 10**11):
+            with pytest.raises(ValueError, match="num_probes"):
+                CipherParams(1000003, 16, k, 31)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_probe_draw_validation_and_indices():
