@@ -113,6 +113,16 @@ def test_subkey_probe_out_of_range():
             key.subkey((probe,))
 
 
+def test_get_bit_out_of_range():
+    # Single-bit reads go through subkey((i,)); bits 0 and 9 of an 8-bit key
+    # are out of range.
+    key = BigKey.generate(8, b"\x4d")
+    with pytest.raises(IndexError):
+        key.subkey((0,))
+    with pytest.raises(IndexError):
+        key.subkey((9,))
+
+
 def test_subkey_touches_at_most_one_byte_per_probe():
     buf = CountingBuffer(bytes(range(32)))
     key = BigKey(256, buf)
