@@ -12,8 +12,9 @@ than ``--bits`` bits is rejected.  ``--key`` falls back to the
 Numeric arguments are range-checked where argparse parses them, so an out
 of range value is a usage error, and so is a cipher shape that
 ``CipherParams`` refuses once the key's size is known (``--passes S``
-whose S * (2M - 1) rounds overflow the query's 8-byte round field).  The
-shape limits, the probe ceiling among them, come from ``oracle``.
+whose S * (2M - 1) rounds overflow the query's 8-byte round field), and
+a ``bounds`` input outside the bound's domain.  The shape limits, the
+probe ceiling among them, come from ``oracle``.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from .thorp import CipherParams
 
 _ENV_KEY = "BIGTHORP_KEY"
 _SEEDED_KEY_MAX_BITS = 2**33
+# curve builds every query value and point before its first row
+_MAX_CURVE_POINTS = 2**20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -129,9 +132,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-to", type=_number(float, 0), required=True,
                    metavar="B",
                    help="last query count")
-    p.add_argument("--points", type=_number(int, 1), required=True,
-                   metavar="P",
-                   help="number of log-spaced points")
+    p.add_argument("--points", type=_number(int, 1, high=_MAX_CURVE_POINTS),
+                   required=True, metavar="P",
+                   help="number of log-spaced points (1 to 2^20)")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="CSV destination (default: stdout)")
     p.set_defaults(run=_cmd_curve)
@@ -240,9 +243,13 @@ def _cmd_crypt(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    b = _bound_inputs(args, args.queries, args.oracle_calls)
     variant = "closed-form" if args.closed_form else "exact"
-    value = bounds.theorem1_bound(b, variant=variant)
+    try:
+        b = _bound_inputs(args, args.queries, args.oracle_calls)
+        value = bounds.theorem1_bound(b, variant=variant)
+    except ValueError as e:  # inputs outside the bound's domain
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     naive = bounds.naive_adv_lower(b)
     simple = bounds._out(bounds._to_mpf(naive.simple))
     hyper = bounds._out(bounds._to_mpf(naive.hypergeometric))

@@ -43,6 +43,7 @@ _MAX_MSG_BITS = 2**16 - 1
 # probes per round: bounds the bytes one round requests
 _MAX_PROBES = 2**16
 _HEAD = struct.Struct(">BQH")
+_shake = hashlib.shake_256
 
 
 def encode_query(tag: int, round_index: int, msg_bits: int, r_value: int) -> bytes:
@@ -113,7 +114,7 @@ class Shake256Oracle(Oracle):
         if n < 0:
             raise ValueError("stream length must be nonnegative")
         self._seen.add(query_bytes)
-        return hashlib.shake_256(query_bytes).digest(n)
+        return _shake(query_bytes).digest(n)
 
 
 ScriptKey = Union[OracleQuery, bytes]
@@ -158,7 +159,7 @@ class ScriptedOracle(Oracle):
                 + self._seed.to_bytes(8, "big")
                 + query_bytes
             )
-            return hashlib.shake_256(material).digest(n)
+            return _shake(material).digest(n)
         if n <= len(body):
             return body[:n]
         return body + b"\x00" * (n - len(body))

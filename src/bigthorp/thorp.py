@@ -38,10 +38,17 @@ since each word is accepted with probability above 1/2.
 of a block in the kernel ``_rounds`` on the state held as an integer.  It
 calls ``_accept`` only when the response holds ``_reject_prefix``, the
 0xFF bytes that every rejected word begins with: five at N = 10^6 + 3, and
-none (so every round) where 2^64 mod N >= 2^56, which needs N > 2^56.  Each
-mask byte then picks, through a cached table of ``struct`` unpackers
-(``_picks``), just the selected words of its group of eight, which are
-reduced by mask when N is a power of two and by ``%`` otherwise.
+none (so every round) where 2^64 mod N >= 2^56, which needs N > 2^56.
+Since a non-empty prefix is a run of 0xFF, a one-byte screen ``255 in
+data`` (a memchr) runs first, and the substring test only on the responses
+it passes, about a fifth of 65-byte SHAKE-256 responses; with an empty
+prefix there is no screen.  Each mask byte then picks, through a cached
+table of ``struct`` unpackers (``_picks``), just the selected words of its
+group of eight, which are reduced by mask when N is a power of two and by
+``%`` otherwise.  The round's shape constants (threshold, prefix, request
+and query sizes, unpackers, round orders) form the ``_Plan`` that each
+``CipherParams`` builds on first use and keeps; the two kernels and
+``derive_probes`` read them from there.
 ``verify.bias_estimate`` does the same in batches through the numpy kernel
 ``_round_bits``, which fixes rejected rows in place, and numpy is imported
 only when that kernel runs.  The two kernels read the key's buffer
@@ -56,9 +63,9 @@ the mask is packed: probe j at bit j - 1 of an int.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from functools import cache
-from typing import Tuple
+from dataclasses import dataclass, fields
+from functools import cache, cached_property
+from typing import NamedTuple, Tuple
 
 from .bigkey import BigKey
 from .bitstring import BitString
@@ -109,6 +116,52 @@ class CipherParams:
         if passes < 1:
             raise ValueError("passes must be at least 1")
         return cls(n_bits, msg_bits, num_probes, _rounds_for(msg_bits, passes))
+
+    @cached_property
+    def _plan(self) -> "_Plan":
+        """The round's shape constants, built on first use and kept with the
+        params they were built from."""
+        m, k, n = self.msg_bits, self.num_probes, self.n_bits
+        threshold = n * (_B // n)
+        mask_at = _WORD * k
+        need = mask_at + (k + 7) // 8
+        groups = tuple((_picks(min(8, k - 8 * g)), _WORD * 8 * g, mask_at + g)
+                       for g in range(need - mask_at))
+        rest_bytes = (m + 6) // 8
+        step = 1 << 8 * (rest_bytes + 2)  # one round, in the query as an int
+        base = (PROBE_TAG << 80 | m) << 8 * rest_bytes  # tag and width in place
+        return _Plan(threshold, threshold == _B, n - 1,
+                     _reject_prefix(threshold), need, groups, 11 + rest_bytes,
+                     m - 1, (1 << m - 1) - 1,
+                     range(base + step, base + (self.rounds + 1) * step, step),
+                     range(base + self.rounds * step, base, -step))
+
+    def __getstate__(self):
+        # the plan holds struct unpackers, which do not pickle; it is rebuilt
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+class _Plan(NamedTuple):
+    """What a round of one ``CipherParams`` needs besides its input.
+
+    ``groups`` holds, per group of up to eight probe words, its ``_picks``
+    unpackers, the offset of its first word and the index of its mask byte.
+    ``forward`` and ``backward`` are the queries' tag, round and width
+    fields as one int per round, in encryption and decryption order; a
+    round input of ``low`` bits fills the rest of the ``size`` bytes.
+    """
+
+    threshold: int  # a probe word at or above it is rejected
+    pow2: bool  # N is a power of two: nothing rejects, u mod N is u & low_n
+    low_n: int
+    prefix: bytes  # _reject_prefix(threshold): empty, or a run of 0xFF
+    need: int  # the round's first request: 8k words, then ceil(k / 8) bytes
+    groups: Tuple[Tuple[tuple, int, int], ...]
+    size: int
+    top: int  # m - 1, the shift to the state's first bit
+    low: int  # mask of the state's last m - 1 bits
+    forward: range
+    backward: range
 
 
 def _check_key(key: BigKey, params: CipherParams):
@@ -183,23 +236,12 @@ def _rounds(x: int, key: BigKey, oracle: Oracle, params: CipherParams,
     ``encode_query(PROBE_TAG, r, m, rest)``, built as one int, unless a
     probe word is rejected.  Callers check state and key against ``params``.
     """
-    m, k, n = params.msg_bits, params.num_probes, params.n_bits
+    plan, k, n = params._plan, params.num_probes, params.n_bits
     buf, stream = key._buf, oracle.stream_bytes
-    threshold = n * (_B // n)
-    pow2, low_n = threshold == _B, n - 1  # N is a power of two: nothing rejects
-    prefix = _reject_prefix(threshold)
-    mask_at = _WORD * k
-    need = mask_at + (k + 7) // 8
-    # (unpackers, offset of the first word, index of the mask byte) per group
-    groups = [(_picks(min(8, k - 8 * g)), _WORD * 8 * g, mask_at + g)
-              for g in range(need - mask_at)]
-    rest_bytes, top = (m + 6) // 8, m - 1
-    low, size = (1 << top) - 1, 11 + rest_bytes
-    step = 1 << 8 * (rest_bytes + 2)  # one round, in the query as an int
-    base = (PROBE_TAG << 80 | m) << 8 * rest_bytes  # tag and width in place
-    order = (range(base + step, base + (params.rounds + 1) * step, step)
-             if forward else range(base + params.rounds * step, base, -step))
-    for head in order:
+    threshold, pow2, low_n = plan.threshold, plan.pow2, plan.low_n
+    prefix, need, groups = plan.prefix, plan.need, plan.groups
+    size, top, low = plan.size, plan.top, plan.low
+    for head in plan.forward if forward else plan.backward:
         rest = x & low if forward else x >> 1
         query = (head | rest).to_bytes(size, "big")
         data = stream(query, need)
@@ -210,7 +252,7 @@ def _rounds(x: int, key: BigKey, oracle: Oracle, params: CipherParams,
                     p = word & low_n
                     acc ^= buf[p >> 3] >> (p & 7)
         else:
-            if prefix in data:
+            if (255 in data or not prefix) and prefix in data:
                 data = _accept(stream, query, data, k, threshold)
             for picks, at, b in groups:
                 for word in picks[data[b]](data, at):
@@ -231,10 +273,8 @@ def _round_bits(params: CipherParams, key: BigKey, stream, queries):
     """
     import numpy as np  # numpy stays out of ``import bigthorp``
 
-    k, n = params.num_probes, params.n_bits
-    threshold = n * (_B // n)
-    mask_at = _WORD * k
-    need = mask_at + (k + 7) // 8
+    k, n, plan = params.num_probes, params.n_bits, params._plan
+    threshold, need, mask_at = plan.threshold, plan.need, _WORD * k
     data = bytearray(b"".join(stream(q, need) for q in queries))
     rows = np.frombuffer(data, np.uint8).reshape(len(queries), need)
     if threshold < _B:
@@ -278,10 +318,10 @@ def derive_probes(
         raise ValueError(
             f"round input has {len(r_bits)} bits, expected {params.msg_bits - 1}")
     query = OracleQuery(PROBE_TAG, round_index, params.msg_bits, r_bits.to_int())
-    n, k = params.n_bits, params.num_probes
+    n, k, plan = params.n_bits, params.num_probes, params._plan
     mask_at = _WORD * k
-    data = _accept(oracle.stream, query,
-                   oracle.stream(query, mask_at + (k + 7) // 8), k, n * (_B // n))
+    data = _accept(oracle.stream, query, oracle.stream(query, plan.need), k,
+                   plan.threshold)
     mask = int.from_bytes(data[mask_at:], "little") & (1 << k) - 1
     words = struct.unpack_from(f">{k}Q", data)
     return ProbeDraw(tuple(w % n + 1 for w in words), mask)

@@ -9,6 +9,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -189,6 +190,9 @@ def test_usage_errors_exit_one(key_path, tmp_path, monkeypatch):
          "--probes", "16", "--passes", "2", "--queries", "1024"],
         ["bounds", "--n", "1048576", "--leak", "1024", "--bits", "16",
          "--probes", "16", "--passes", "0", "--queries", "1024"],
+        # alpha + k is above N: outside the bound's domain
+        ["bounds", "--n", "64", "--leak", "8", "--bits", "16",
+         "--probes", "100", "--passes", "1", "--queries", "10"],
     ]
     for argv in cases:
         assert main(argv) == 1, argv
@@ -396,8 +400,10 @@ def test_bounds_rejects_oversubscribed_key(capsys):
     # alpha + probes exceeds the key size, the bound has no valid domain
     argv = ["bounds", "--n", "16384", "--leak", "64", "--bits", "16",
             "--probes", "16", "--passes", "2", "--queries", "1024"]
-    assert main(argv) == 2
-    assert "error:" in capsys.readouterr().err
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: invalid inputs: 1 - (alpha + num_probes)/n_bits = -0.00964355 "
+        "is negative (key too small for these parameters)\n")
 
 
 def test_curve_stdout(capsys):
@@ -413,6 +419,22 @@ def test_curve_stdout(capsys):
     # the bound only grows with q, so the negated log must fall
     neg_logs = [float(row.split(",")[1]) for row in lines[1:]]
     assert neg_logs == sorted(neg_logs, reverse=True)
+
+
+def test_curve_points_ceiling_is_checked_before_any_allocation(capsys):
+    # curve builds every query count and point before its first row
+    assert cli._MAX_CURVE_POINTS == 2**20
+    for points in (2**20 + 1, 10**15):
+        argv = ["curve", *_CURVE_ARGS, "--q-from", "1", "--q-to", "1024",
+                "--points", str(points)]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert "--points: must be at most 1048576" in capsys.readouterr().err
 
 
 def test_curve_single_point_and_file_output(tmp_path, capsys):

@@ -1,11 +1,14 @@
 """Probe derivation, rejection sampling, subset masking, and the PRF bit."""
 
 import hashlib
+import pickle
 import random
 import subprocess
 import sys
 import tracemalloc
+from collections import defaultdict
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -467,10 +470,51 @@ def test_every_rejected_word_begins_with_the_prefix(n_bits, offset):
         assert word.to_bytes(8, "big").startswith(prefix)
 
 
+_EDGES = (2**56 - 1, 2**56, 2**56 + 1, 2**63 + 1, 2**64 - 1)
+
+
+def _with_edges(test):
+    # each edge N with an all-zero response, the prefix spliced into one,
+    # and a lone 0xFF byte, which holds a prefix of one byte only
+    for n_bits in _EDGES:
+        for body, at in ((bytes(65), None), (bytes(65), 7),
+                         (b"\xff" + bytes(64), None)):
+            test = example(n_bits=n_bits, body=body, at=at)(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_bits=st.integers(1, 2**64 - 1),
+       body=st.binary(min_size=65, max_size=65),
+       at=st.none() | st.integers(0, 65))
+@_with_edges
+def test_kernel_screen_passes_every_response_that_holds_the_prefix(
+        n_bits, body, at):
+    # the kernel sends a round to _accept exactly when its response holds
+    # the prefix: the one-byte screen passes every such response, and every
+    # response when the prefix is empty (2^64 mod N >= 2^56); a key of more
+    # than 2^56 bits cannot be held, so an all-zero stand-in takes its place
+    prefix = _reject_prefix(n_bits * (2**64 // n_bits))
+    if at is not None:
+        at %= 66 - len(prefix)
+        body = body[:at] + prefix + body[at + len(prefix):]
+    p = CipherParams(n_bits=n_bits, msg_bits=2, num_probes=8, rounds=1)
+    key = SimpleNamespace(n_bits=n_bits, _buf=defaultdict(int))
+    oracle = ScriptedOracle(default_script=body)
+    msg = BitString.from_int(2, 2)
+    with pytest.MonkeyPatch.context() as mp:
+        entered = _record_accepts(mp)
+        assert decrypt(encrypt(msg, key, oracle, p), key, oracle, p) == msg
+    pow2 = n_bits & (n_bits - 1) == 0  # nothing rejects
+    assert len(entered) == (0 if pow2 or prefix not in body else 2)
+
+
 def test_bench_shape_rounds_skip_the_exact_check(monkeypatch):
     # at N = 10^6 + 3 the prefix is five 0xFF bytes, which a SHAKE-256 round
     # of 65 bytes all but never holds; the top-byte test it replaced sent
-    # about 3% of these rounds to _accept
+    # about 3% of these rounds to _accept.  The one-byte screen passes the
+    # rounds whose response holds any 0xFF byte, 1 - (255/256)^65 = 22.5%
+    # of them, on to the substring test
     n_bits, m, k = 10**6 + 3, 16, 8
     p = CipherParams.from_passes(n_bits, m, k, 1)
     key = BigKey.generate(n_bits, seed_randomness((n_bits + 7) // 8, 35))
@@ -480,6 +524,35 @@ def test_bench_shape_rounds_skip_the_exact_check(monkeypatch):
         encrypt(BitString.from_int(rng.getrandbits(m), m), key, oracle, p)
     assert len(oracle.calls) == 2000 * p.rounds
     assert entered == []
+    screened = sum(255 in hashlib.shake_256(q).digest(n) for q, n in oracle.calls)
+    assert 0.21 < screened / len(oracle.calls) < 0.24
+
+
+def test_plan_follows_the_params_it_was_built_from():
+    # the shape constants live on each CipherParams: a new round count gets
+    # its own plan, and the dataclass's repr, == and hash stay its fields'
+    p = CipherParams.from_passes(1001, 9, 8, 1)
+    key = BigKey.generate(1001, seed_randomness(126, 2))
+    msg, oracle = BitString.from_int(300, 9), RecordingOracle()
+    cipher = encrypt(msg, key, oracle, p)
+    assert len(oracle.calls) == p.rounds == 17
+    assert repr(p) == ("CipherParams(n_bits=1001, msg_bits=9, num_probes=8, "
+                       "rounds=17)")
+    assert p == CipherParams(1001, 9, 8, 17)
+    assert hash(p) == hash(CipherParams(1001, 9, 8, 17)) == hash((1001, 9, 8, 17))
+    for t in (3, 0, 17, 40, 5, 5):
+        # each replacement is dropped after its call, so the next one may
+        # take its id
+        state = msg
+        for r in range(1, t + 1):
+            state = round_forward(state, r, key, oracle, p)
+        oracle.calls.clear()
+        assert encrypt(msg, key, oracle, replace(p, rounds=t)) == state
+        assert len(oracle.calls) == t
+        assert decrypt(state, key, oracle, replace(p, rounds=t)) == msg
+        assert len(oracle.calls) == 2 * t
+    copy = pickle.loads(pickle.dumps(p))
+    assert copy == p and encrypt(msg, key, oracle, copy) == cipher
 
 
 def _record_sizes(oracle):
