@@ -77,6 +77,9 @@ _LN4 = mpf_shift(_LN2, 1)
 _HALF = from_float(0.5)
 _TOL = 1e-12
 _TOL_MPF = from_float(_TOL)
+# a bracket certificate must clear this to stand in for an evaluation of h;
+# it covers the 240-bit rounding of the certificate and of that evaluation
+_CERT_MARGIN = mpf_shift(fone, -200)
 
 
 def _to_mpf(x):
@@ -152,8 +155,12 @@ def entropy_h_inv(z: Number, tol: float = _TOL) -> mpmath.mpf:
     vanishing derivative at 1/2 does not break this.  A step costs ln p
     and ln(1 - p), which also give the derivative ln((1 - p)/p) in nats.
     The seed is a float64 solve placed 1e-13 above the root, whose
-    evaluation is the first step; one more evaluation checks the bracket
-    below, so a solve usually costs two.  Where the float solve leaves
+    evaluation is the first step.  That step's own values usually certify
+    the bracket below it without evaluating h again (``_certified``):
+    h(hi - tol) - z ln 2 >= d - tol*h'(hi) - tol^2 / (hi (1 - hi)), with
+    d = h(hi) - z ln 2 in nats, so a solve usually costs one evaluation.
+    Where that lower bound falls short of 2^-200, h(hi - tol) is
+    evaluated to check the bracket.  Where the float solve leaves
     (1/2, 1) (z below about 1e-11, or z within rounding of 1) or lands
     below the root, the seed is the upper bound ``h_inv_upper(z)``
     instead, which takes up to five steps.  The result is returned once a
@@ -186,18 +193,20 @@ def _h_inv(zm, tolm):
     if seed is None:
         hi = _h_upper(zm)
     for _ in range(_NEWTON_STEPS):
-        new = hi  # the tangent at hi = 1 is vertical
+        new, d = hi, None  # the tangent at hi = 1 is vertical
         if mpf_lt(hi, fone):
             h, a, b = first or _h_nats(hi)
             first = None
             if mpf_gt(h, zn):  # rounding put hi below the root
                 break
-            new = mpf_sub(hi, mpf_div(mpf_sub(h, zn, _P, _RND),
-                                      mpf_sub(b, a, _P, _RND), _P, _RND),
-                          _P, _RND)
+            d, slope = mpf_sub(h, zn, _P, _RND), mpf_sub(b, a, _P, _RND)
+            new = mpf_sub(hi, mpf_div(d, slope, _P, _RND), _P, _RND)
         if mpf_le(mpf_sub(hi, new, _P, _RND), tolm):
             # [hi - tol, hi] brackets the root if h(hi - tol) >= z
             lo = mpf_sub(hi, tolm, _P, _RND)
+            if (d is not None and mpf_gt(lo, _HALF)
+                    and _certified(hi, d, slope, tolm)):
+                return new
             if mpf_ge(_h_nats(lo if mpf_gt(lo, _HALF) else _HALF)[0], zn):
                 return new
             if mpf_eq(new, hi):  # no progress
@@ -213,6 +222,32 @@ def _h_inv(zm, tolm):
             hi = mid
         mid = mpf_shift(mpf_add(lo, hi, _P, _RND), -1)
     return mid
+
+
+def _certified(hi, d, slope, tolm) -> bool:
+    """Whether the Newton step's own values prove h(hi - tol) >= z, for
+    1/2 < hi - tol and hi < 1, so that the bracket needs no evaluation.
+
+    ``d`` = h(hi) - z ln 2 and ``slope`` = ln(1 - hi) - ln hi = h'(hi)
+    are the step's 240-bit values, in nats.  h is concave on [1/2, 1]
+    with |h''(t)| = 1/(t(1 - t)), which grows with t there, so Taylor's
+    theorem on [hi - tol, hi] gives
+
+        h(hi - tol) - z ln 2 >= d - tol*slope - tol^2 / (2 hi (1 - hi)),
+
+    and the certificate drops the 1/2.  It must clear ``_CERT_MARGIN``
+    (2^-200), which covers the rounding of its own terms and of the
+    evaluation ``_h_nats(hi - tol) >= z ln 2`` that it stands in for:
+    each quantity is at most about 2^8 in size and carries a few 2^-240
+    relative errors.  So whenever it holds, that evaluation would hold
+    too, and the solve returns what it returned with the evaluation.
+    """
+    curve = mpf_div(mpf_mul(tolm, tolm, _P, _RND),
+                    mpf_mul(hi, mpf_sub(fone, hi, _P, _RND), _P, _RND),
+                    _P, _RND)
+    bound = mpf_sub(mpf_sub(d, mpf_mul(tolm, slope, _P, _RND), _P, _RND),
+                    curve, _P, _RND)
+    return mpf_ge(bound, _CERT_MARGIN)
 
 
 def h_inv_upper(z: Number) -> mpmath.mpf:
@@ -364,18 +399,23 @@ def gamma_bound(b: BoundInputs, q: Number, variant: str = "exact") -> mpmath.mpf
     return _out(mpf_add(t1, t2, _P, _RND))
 
 
-def _theorem1_terms(b: BoundInputs, variant: str = "exact") -> Dict[str, object]:
-    """The four terms of ``theorem1_bound`` keyed by their formulas, in
-    the order it sums them, as raw 240-bit values."""
+_TERM_FORMULAS = ("q/(s+1)*(4mq/2^m)^s", "(qT/2)*hinv(z)^(k/2)",
+                  "qp/2^(m-1)", "qT/2^m")
+
+
+def _terms(b: BoundInputs, variant: str):
+    """The four terms of ``theorem1_bound``, in the order it sums them and
+    of ``_TERM_FORMULAS``, as raw 240-bit values."""
     q, p = _to_mpf(b.queries), _to_mpf(b.oracle_calls)
     t1, t2 = _checked_gamma(b, q, variant)
     m = b.msg_bits
-    return {
-        "q/(s+1)*(4mq/2^m)^s": t1,
-        "(qT/2)*hinv(z)^(k/2)": t2,
-        "qp/2^(m-1)": mpf_shift(mpf_mul(q, p, _P, _RND), 1 - m),
-        "qT/2^m": mpf_shift(mpf_mul(q, from_int(b.rounds), _P, _RND), -m),
-    }
+    return (t1, t2, mpf_shift(mpf_mul(q, p, _P, _RND), 1 - m),
+            mpf_shift(mpf_mul(q, from_int(b.rounds), _P, _RND), -m))
+
+
+def _theorem1_terms(b: BoundInputs, variant: str = "exact") -> Dict[str, object]:
+    """The four terms of ``theorem1_bound`` keyed by their formulas."""
+    return dict(zip(_TERM_FORMULAS, _terms(b, variant)))
 
 
 def theorem1_bound(b: BoundInputs, variant: str = "exact") -> mpmath.mpf:
@@ -385,7 +425,7 @@ def theorem1_bound(b: BoundInputs, variant: str = "exact") -> mpmath.mpf:
     "exact" solves h(p) = z to 1e-12 (``entropy_h_inv``), "closed-form"
     uses the algebraic upper bound (slightly larger, cheaper still).
     """
-    t1, t2, t3, t4 = _theorem1_terms(b, variant).values()
+    t1, t2, t3, t4 = _terms(b, variant)
     total = mpf_add(mpf_add(t1, t2, _P, _RND), t3, _P, _RND)
     return _out(mpf_add(total, t4, _P, _RND))
 
@@ -472,7 +512,10 @@ def naive_adv_lower(b: BoundInputs) -> NaiveAdvBound:
     form with x = q*c/2^m, valid for all q.  Both are exact rationals,
     each built from integers in one step.
     """
-    num, den = Fraction(b.queries).as_integer_ratio()
+    q = b.queries
+    if not isinstance(q, (int, float, Fraction)):
+        q = Fraction(q)
+    num, den = q.as_integer_ratio()
     qc = num * int(b.leak_bits // b.msg_bits)  # x = qc / (den * 2^m)
     two_m = 1 << b.msg_bits
     return NaiveAdvBound(

@@ -217,6 +217,13 @@ def _cmd_keygen(args) -> int:
             return 1
         randomness = bigkey.seed_randomness(needed, args.seed)
     else:
+        # the key is drawn whole in memory: refuse one that cannot fit
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if needed > memory:
+            print(f"error: a random {args.bits}-bit key needs {needed} bytes "
+                  f"in memory, more than the {memory} bytes of physical "
+                  f"memory", file=sys.stderr)
+            return 1
         randomness = os.urandom(needed)
     key = bigkey.BigKey.generate(args.bits, randomness)
     key.save(args.out)

@@ -29,6 +29,8 @@ The checks, stated over explicit tables:
   is the cipher's own: the estimate evaluates its queries in fixed-size
   batches through ``thorp._round_bits``, which gives each query the bit
   that a round of the kernel ``thorp._rounds`` under ``encrypt`` would give.
+  Up to m = 33 the queries are drawn as arrays, equal to the per-trial
+  draw rule's.
 
 ``main_lemma_check`` and the conditioned ``bias_estimate`` read the
 collision mass from one table of agreeing pairs.  Two uniform elements of
@@ -55,9 +57,11 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple)
 
 import numpy as np
 
@@ -77,7 +81,10 @@ _BIAS_ROUNDS = 1 << 16  # bias draws take round indices 1..2^16 - 1
 # twice the trials must fit in the distinct draws of the bias suite's
 # narrowest width, m = 9: 2^8 * (2^16 - 1) / 2 = 8,388,480
 _MAX_TRIALS = (1 << 8) * (_BIAS_ROUNDS - 1) // 2
-_BATCH = 1024  # queries evaluated together
+_BATCH = 512  # queries evaluated together; at k = 64 their rows fit in L2
+_WORD_BITS = 32  # a Mersenne Twister word
+_REVERSED_BYTE = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)],
+                          np.uint8)
 _CHUNK_CELLS = 1 << 21  # cells in one chunk of a suite's batch: 16 MiB
 _MAX_SEED = _U64_MAX - 4  # the bias suite's key seeds reach seed + 4
 
@@ -462,6 +469,16 @@ def bias_estimate(
     ``lt`` given, the bound conditions on the fiber of the actual key
     (which must then be small enough to enumerate); without it, the bound
     uses the exact unconditioned value 2^-(distinct probe count).
+
+    The draws follow one pinned rule (``_loop_queries``).  Up to m = 33
+    they are drawn as arrays (``_array_queries``): the Mersenne Twister
+    words come en bloc and are parsed in numpy, the rare ``randrange``
+    redraw is handled in order, a pair's first occurrence is kept with
+    ``np.unique``, the round inputs are bit-reversed by table, and the
+    queries are the rows of one byte matrix.  Wider m draws one trial at
+    a time.  Either way the queries, their order and the estimate are the
+    same; the bound's terms are added in trial order, by a sequential
+    ``np.add.accumulate`` seeded with the running total.
     """
     if trials < _MIN_TRIALS:
         raise ValueError("trials must be at least 10^4 for a meaningful estimate")
@@ -481,19 +498,44 @@ def bias_estimate(
         def mass(positions):  # the mass at the row's set of positions
             return by_set[np.bitwise_or.reduce(1 << positions, axis=1)]
     else:
+        narrow = np.min_scalar_type(key.n_bits - 1)  # sorts faster
+
         def mass(positions):  # uniform key: 2^-(distinct positions)
-            ranked = np.sort(positions, axis=1)
+            ranked = np.sort(positions.astype(narrow), axis=1)
             distinct = 1 + (ranked[:, 1:] != ranked[:, :-1]).sum(axis=1)
             return np.ldexp(1.0, -distinct)
     if (1 << (m - 1)) * (_BIAS_ROUNDS - 1) < 2 * trials:
         raise ValueError("message width too small for this many distinct queries")
     stream, n = oracle.stream_bytes, key.n_bits
+    power_of_two = n & (n - 1) == 0  # a mask reduces words as % does
     rng = random.Random(seed)
+    draw = _array_queries if m - 1 <= _WORD_BITS else _loop_queries
+    ones = 0
+    bound_acc = 0.0
+    for queries in draw(rng, m, trials):
+        f, words = _round_bits(params, key, stream, queries)
+        ones += int(f.sum())
+        terms = 0.5 * np.sqrt(mass(words & (n - 1) if power_of_two
+                                   else words % n))
+        # trial order, as a per-query loop adds them (np.sum adds pairwise)
+        bound_acc = float(np.add.accumulate(np.append(bound_acc, terms))[-1])
+    return BiasEstimate(abs(ones / trials - 0.5), bound_acc / trials)
+
+
+def _loop_queries(rng: random.Random, m: int,
+                  trials: int) -> Iterator[Sequence[bytes]]:
+    """The bias draw's serialized queries, in trial order, in batches of at
+    most ``_BATCH``: the pinned draw rule, one trial at a time.
+
+    A trial draws ``rng.getrandbits(m - 1)`` and then
+    ``rng.randrange(1, 2^16)``, and a pair drawn before is skipped.  The
+    drawn value fills the round input from bit 1 up, so the big-endian
+    value encoded is its bit reversal.  Any width takes this path; the
+    tests hold ``_array_queries`` to it.
+    """
     draw_r, draw_round = rng.getrandbits, rng.randrange
     r_format = f"0{m - 1}b"
     seen = set()
-    ones = 0
-    bound_acc = 0.0
     while len(seen) < trials:
         queries = []
         while len(queries) < _BATCH and len(seen) < trials:
@@ -502,15 +544,77 @@ def bias_estimate(
             if (r_value, round_index) in seen:
                 continue
             seen.add((r_value, round_index))
-            # the pinned draw rule: r_value fills the round input from bit 1
-            # up, so the big-endian value encoded is its bit reversal
             reversed_r = int(format(r_value, r_format)[::-1], 2)
             queries.append(encode_query(PROBE_TAG, round_index, m, reversed_r))
-        f, words = _round_bits(params, key, stream, queries)
-        ones += int(f.sum())
-        for term in (0.5 * np.sqrt(mass(words % n))).tolist():
-            bound_acc += term  # trial order, as a per-query loop adds them
-    return BiasEstimate(abs(ones / trials - 0.5), bound_acc / trials)
+        yield queries
+
+
+def _draw_pairs(rng: random.Random, width: int,
+                count: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The next ``count`` (r_value, round index) draws of ``_loop_queries``
+    at ``width`` = m - 1 <= 32, repeats included, as two arrays, leaving
+    ``rng`` where the loop would.
+
+    CPython's ``getrandbits(32 * n)`` returns the next n 32-bit Mersenne
+    Twister words, lowest first.  ``getrandbits(width)`` keeps the top
+    ``width`` bits of one word, and ``randrange(1, 2^16)`` is 1 plus the
+    top 16 bits of one word, drawn again from the next word while those
+    bits are 65535.  So a pair is two words, except that such a redraw
+    drops its word: the few words whose top bits are 65535 are walked in
+    order, and one at a round word's place in the stream, after the drops
+    before it, is dropped.
+    """
+    r_parts, round_parts = [], []
+    words = np.empty(0, np.uint32)
+    while count:
+        more = 2 * count - len(words)
+        words = np.append(words, np.frombuffer(
+            rng.getrandbits(32 * more).to_bytes(4 * more, "little"), "<u4"))
+        dropped = []
+        for i in np.flatnonzero(words >> 16 == _BIAS_ROUNDS - 1).tolist():
+            if (i - len(dropped)) % 2:
+                dropped.append(i)
+        words = np.delete(words, dropped)
+        good = len(words) // 2  # an odd word out waits for its round word
+        r_parts.append(words[0:2 * good:2] >> (_WORD_BITS - width))
+        round_parts.append((words[1:2 * good:2] >> 16) + 1)
+        count -= good
+        words = words[2 * good:]
+    return np.concatenate(r_parts), np.concatenate(round_parts)
+
+
+def _array_queries(rng: random.Random, m: int,
+                   trials: int) -> Iterator[Sequence[bytes]]:
+    """``_loop_queries`` for m - 1 <= 32, drawn as arrays: the draws come
+    en bloc from ``_draw_pairs``, a pair's first occurrence is kept
+    (``np.unique``), and the queries are the rows of one byte matrix laid
+    out as ``encode_query`` lays them out."""
+    width = m - 1
+    r, rounds = _draw_pairs(rng, width, trials)
+    while True:
+        pairs = r.astype(np.uint64) << 16 | rounds
+        first = np.unique(pairs, return_index=True)[1]
+        if len(first) >= trials:
+            break
+        more_r, more_rounds = _draw_pairs(rng, width, trials - len(first))
+        r, rounds = np.append(r, more_r), np.append(rounds, more_rounds)
+    keep = np.sort(first)[:trials]
+    # bit i of r_value is bit i + 1 of the round input, so the field holds
+    # r_value reversed in 32 bits, shifted down to ``width`` bits: the
+    # reversal is each little-endian byte of r_value reversed, in order
+    size = (width + 7) // 8
+    as_bytes = r[keep].astype("<u4").view(np.uint8).reshape(trials, 4)
+    reversed_r = (_REVERSED_BYTE[as_bytes].view(">u4")[:, 0]
+                  >> (_WORD_BITS - width))
+    rows = np.empty(trials, [("tag", "u1"), ("round", ">u8"), ("m", ">u2"),
+                             ("r", "u1", (size,))])
+    rows["tag"], rows["round"], rows["m"] = PROBE_TAG, rounds[keep], m
+    rows["r"] = reversed_r.astype(">u4").view(np.uint8).reshape(
+        trials, 4)[:, 4 - size:]
+    blob, w = rows.tobytes(), rows.itemsize
+    for lo in range(0, trials, _BATCH):
+        count = min(_BATCH, trials - lo)
+        yield struct.unpack_from(f"{w}s" * count, blob, lo * w)
 
 
 # ---------------------------------------------------------------------------

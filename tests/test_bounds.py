@@ -12,7 +12,8 @@ from fractions import Fraction
 import bounds_reference as ref
 import mpmath
 import pytest
-from hypothesis import example, given, settings
+from mpmath import libmp
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bigthorp import bounds as bounds_module
@@ -232,12 +233,66 @@ def _count_h_evaluations(monkeypatch):
     return calls
 
 
-def test_h_inv_two_evaluations_per_sweep_point(monkeypatch):
+def test_h_inv_one_evaluation_per_sweep_point(monkeypatch):
+    # the seed's evaluation is the Newton step, and its own values
+    # certify the bracket below
     calls = _count_h_evaluations(monkeypatch)
     for z in SWEEP_ZS:
         calls.clear()
         entropy_h_inv(z)
-        assert len(calls) <= 2, (z, len(calls))
+        assert len(calls) == 1, (z, len(calls))
+
+
+def test_h_inv_certificate_fallback_matches_the_reference(monkeypatch):
+    # a margin of 1 is never met: every bracket is checked by evaluating
+    # h(hi - tol), as the reference does, and the values do not move
+    monkeypatch.setattr(bounds_module, "_CERT_MARGIN", mpmath.mpf(1)._mpf_)
+    calls = _count_h_evaluations(monkeypatch)
+    for z in SWEEP_ZS:
+        calls.clear()
+        assert entropy_h_inv(z)._mpf_ == ref.entropy_h_inv(z, 1e-12), z
+        assert len(calls) == 2, (z, len(calls))
+    assert gamma_curve(EXAMPLE, SWEEP_QS) == ref.gamma_curve(EXAMPLE, SWEEP_QS)
+    for q in SWEEP_QS[::8]:
+        at_q = dataclasses.replace(EXAMPLE, queries=q)
+        assert gamma_bound(EXAMPLE, q)._mpf_ == ref.gamma_bound(
+            EXAMPLE, q, "exact"), q
+        assert theorem1_bound(at_q)._mpf_ == ref.theorem1_bound(
+            at_q, "exact"), q
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.5, 1, exclude_min=True, exclude_max=True),
+       st.floats(1e-15, 1e-2), st.floats(-4, 4))
+def test_h_inv_certificate_implies_the_bracket(hi, tol, offset):
+    # z ln 2 within a few tol^2 of h(hi - tol), where the curvature term
+    # decides: the certificate may pass only where evaluating
+    # h(hi - tol) >= z ln 2 at 240 bits passes
+    P, rnd = bounds_module._P, bounds_module._RND
+    him, tolm = libmp.from_float(hi), libmp.from_float(tol)
+    lo = libmp.mpf_sub(him, tolm, P, rnd)
+    assume(libmp.mpf_gt(lo, libmp.from_float(0.5)))
+    h_lo = bounds_module._h_nats(lo)[0]
+    zn = libmp.mpf_add(h_lo, libmp.from_float(offset * tol * tol), P, rnd)
+    h, a, b = bounds_module._h_nats(him)
+    assume(libmp.mpf_le(h, zn))  # hi lies above the root
+    if bounds_module._certified(him, libmp.mpf_sub(h, zn, P, rnd),
+                                libmp.mpf_sub(b, a, P, rnd), tolm):
+        assert libmp.mpf_ge(h_lo, zn)
+
+
+# z near 0 and near 1, where the root nears 1 and 1/2 and |h'| -> 0 there
+_EDGE_ZS = st.one_of(
+    st.floats(0, 1e-3, exclude_min=True),
+    st.floats(1 - 1e-3, 1, exclude_max=True),
+    st.floats(0, 1, exclude_min=True, exclude_max=True),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_EDGE_ZS, st.floats(1e-15, 1e-2))
+def test_h_inv_certificate_keeps_the_reference_value(z, tol):
+    assert entropy_h_inv(z, tol)._mpf_ == ref.entropy_h_inv(z, tol)
 
 
 def test_sweep_curve_and_closed_form_frozen():

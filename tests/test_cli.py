@@ -7,9 +7,11 @@ the ``python -m`` entry point.
 
 import hashlib
 import json
+import shlex
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -201,12 +203,14 @@ def test_usage_errors_exit_one(key_path, tmp_path, monkeypatch):
 # The unbounded case runs in a child whose address space is capped just
 # above what its imports took, so a missing ceiling fails the allocation
 # instead of exhausting the host's memory.
-_MEMORY_LIMITED = """
+_MEMORY_CAP = """
 import resource, sys
 from bigthorp.cli import main
 with open("/proc/self/statm") as f:
     limit = int(f.read().split()[0]) * resource.getpagesize() + (256 << 20)
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+"""
+_MEMORY_LIMITED = _MEMORY_CAP + """
 print([main(argv) for argv in (sys.argv[1:], ["decrypt"] + sys.argv[2:])])
 """
 
@@ -232,6 +236,21 @@ def test_probe_ceiling_is_a_usage_error(key_path, capsys):
     assert main(["bounds", "--n", str(2**43), "--leak", str(2**40), "--bits",
                  "128", "--probes", str(10**11), "--passes", "2",
                  "--queries", "1024"]) == 0
+
+
+def test_unseeded_keygen_refuses_a_key_larger_than_memory(tmp_path):
+    # 2^63 bits is 2^60 bytes, more than any host's memory: refused before
+    # os.urandom, in a child whose address space is capped as above
+    out = tmp_path / "huge.key"
+    script = _MEMORY_CAP + "sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run(
+        [sys.executable, "-c", script, "keygen", "--bits", str(2**63),
+         "--out", str(out)],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith("error: a random 9223372036854775808-bit")
+    assert done.stderr.count("\n") == 1
+    assert not out.exists()
 
 
 def test_trials_ceiling_is_a_usage_error(monkeypatch, capsys):
@@ -531,3 +550,36 @@ def test_public_names_are_pinned():
     ]
     assert bigthorp.__all__ == sorted(bigthorp.__all__)
     assert all(hasattr(bigthorp, name) for name in bigthorp.__all__)
+
+
+# ---------------------------------------------------------------------------
+# the README's examples
+
+
+def _readme_blocks():
+    """The README's fenced blocks as (language, text) pairs."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return [part.split("\n", 1) for part in text.split("```")[1::2]]
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    blocks = _readme_blocks()
+    [library] = [text for lang, text in blocks if lang == "python"]
+    exec(compile(library, "README.md", "exec"), {})
+    commands = [shlex.split(line)
+                for lang, text in blocks if not lang
+                for line in text.replace("\\\n", " ").splitlines()
+                if line.startswith("bigthorp ")]
+    assert {"keygen", "encrypt", "decrypt", "bounds", "curve"} <= {
+        command[1] for command in commands}
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    outputs = {}
+    for _, *argv in commands:
+        argv = [outputs.get("encrypt", arg) if arg == "<hex>" else arg
+                for arg in argv]
+        assert main(argv) == 0, argv
+        outputs[argv[0]] = capsys.readouterr().out.strip()
+    [encrypt] = [command for command in commands if command[1] == "encrypt"]
+    assert outputs["decrypt"] == encrypt[encrypt.index("--in") + 1]
+    assert (tmp_path / "curve.csv").read_text().startswith("log2_q,")

@@ -9,6 +9,7 @@ than against the implementation's own output.
 import itertools
 import json
 import math
+import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -621,6 +622,100 @@ def test_bias_conditioned_estimate_is_pinned():
     params = CipherParams(n_bits=12, msg_bits=10, num_probes=8, rounds=19)
     est = bias_estimate(key, Shake256Oracle(), lt, 10**4, params, seed=511)
     assert tuple(est) == (0.0044999999999999485, 0.06919480374274345)
+
+
+class _CountingRandom(random.Random):
+    """Counts the loop draw's pairs, and the words ``randrange`` took for
+    them: each word past one per pair is a redraw."""
+
+    pairs = round_words = 0
+    _in_randrange = False
+
+    def randrange(self, *args):
+        self.pairs += 1
+        self._in_randrange = True
+        try:
+            return super().randrange(*args)
+        finally:
+            self._in_randrange = False
+
+    def getrandbits(self, k):
+        self.round_words += self._in_randrange
+        return super().getrandbits(k)
+
+
+# (m, seed, trials) with the loop's randrange redraws and repeated pairs:
+# the array draw reads CPython's Mersenne Twister words directly, so a
+# change to how random draws them fails here instead of moving the rows
+@pytest.mark.parametrize("m, seed, trials, redraws, repeats", [
+    (2, 12, 3000, 1, 46),
+    (5, 1, 3000, 0, 4),
+    (9, 33, 3000, 1, 1),
+    (17, 40, 3000, 1, 0),
+    (24, 5, 1500, 0, 0),
+    (33, 58, 3000, 1, 0),
+])
+def test_bias_array_draw_matches_the_loop(m, seed, trials, redraws, repeats):
+    counting = _CountingRandom(seed)
+    loop = [q for batch in verify._loop_queries(counting, m, trials)
+            for q in batch]
+    assert (counting.round_words - counting.pairs,
+            counting.pairs - trials) == (redraws, repeats)
+    array = [list(batch) for batch in
+             verify._array_queries(random.Random(seed), m, trials)]
+    assert [len(batch) for batch in array] == [
+        min(verify._BATCH, trials - lo)
+        for lo in range(0, trials, verify._BATCH)]
+    assert [q for batch in array for q in batch] == loop
+
+
+class _ScriptedWords(random.Random):
+    """A Random that hands out the given 32-bit words, as CPython's
+    ``getrandbits`` does for k <= 32 and for multiples of 32."""
+
+    def __init__(self, words):
+        super().__init__(0)
+        self._words = iter(words)
+
+    def getrandbits(self, k):
+        n = (k + 31) // 32
+        value = sum(next(self._words) << (32 * i) for i in range(n))
+        return value >> (32 * n - k)
+
+
+@pytest.mark.parametrize("m", [2, 9, 33])
+def test_bias_array_draw_handles_redraws_in_a_row(m):
+    # 65535 in the top bits: twice in a row at the first round word, at an
+    # r word (kept), three times in a row later, and a repeated pair
+    rng = random.Random(m)
+    words = [rng.getrandbits(32) for _ in range(300)]
+    redraw = 0xFFFF0000
+    words[1:1] = [redraw | 7, redraw]
+    words[10] = redraw | 3
+    words[41:41] = [redraw, redraw | 1, redraw | 2]
+    words[61:63] = words[20:22]
+    loop = [q for batch in verify._loop_queries(_ScriptedWords(words), m, 100)
+            for q in batch]
+    array = [q for batch in
+             verify._array_queries(_ScriptedWords(words), m, 100)
+             for q in batch]
+    assert array == loop
+
+
+@pytest.mark.parametrize("n_bits, m, leak_bits", [
+    (12, 10, 3), (1000, 33, None), (1024, 9, None)])
+def test_bias_estimate_same_with_the_loop_draw(monkeypatch, n_bits, m,
+                                               leak_bits):
+    # the whole estimate, bound accumulation included, at widths that
+    # take the array draw, against the same estimate drawn by the loop
+    key = BigKey.generate(n_bits, seed_randomness((n_bits + 7) // 8, 61))
+    lt = (None if leak_bits is None else
+          LeakageTable.random(n_bits, leak_bits, np.random.default_rng(62)))
+    params = CipherParams(n_bits=n_bits, msg_bits=m, num_probes=8, rounds=3)
+    array = bias_estimate(key, Shake256Oracle(), lt, 10**4, params, seed=63)
+    monkeypatch.setattr(verify, "_array_queries", verify._loop_queries)
+    assert bias_estimate(key, Shake256Oracle(), lt, 10**4, params,
+                         seed=63) == array
 
 
 @pytest.mark.parametrize("n_bits, leak_bits", [(12, 3), (4099, None)],
