@@ -93,8 +93,9 @@ def _crc(header: bytes) -> bytes:
 def _decode(head: bytes, tail: bytes, size: int):
     """Check a key file from its first ``_HEAD_MAX`` bytes (fewer if it is
     shorter), its last 5 bytes and its size, without I/O; the inverse of
-    ``_encode_header`` plus the trailer.  Returns (oracle identifier,
-    n_bits, offset), where the key bytes start at ``offset`` in the file."""
+    ``_encode_header`` plus the trailer.  Every format check of a key file
+    is made here, the identifier last; returns (n_bits, offset), where the
+    key bytes start at ``offset`` in the file."""
     if head[:4] != MAGIC:
         raise KeyFileError("not a key file (bad magic)")
     if len(head) < 5:
@@ -120,7 +121,9 @@ def _decode(head: bytes, tail: bytes, size: int):
         raise KeyFileError("header checksum mismatch")
     if tail[0] >> (n_bits % 8 or 8):
         raise KeyFileError("nonzero padding bits")
-    return ident, n_bits, offset
+    if ident != Shake256Oracle.identifier:
+        raise OracleMismatchError(f"key pins oracle {ident!r}, not 'shake256'")
+    return n_bits, offset
 
 
 class BigKey:
@@ -186,14 +189,14 @@ class BigKey:
             size = os.fstat(f.fileno()).st_size
             f.seek(max(size - 5, 0))
             try:
-                ident, n_bits, offset = _decode(head, f.read(5), size)
+                n_bits, offset = _decode(head, f.read(5), size)
             except KeyFileError as e:
                 raise type(e)(f"{path}: {e}") from None
-            if ident != Shake256Oracle.identifier:
-                raise OracleMismatchError(
-                    f"{path}: key pins oracle {ident!r}, not 'shake256'")
             if not in_memory:
-                mapping = mmap.mmap(f.fileno(), size - 4, access=mmap.ACCESS_READ)
+                try:
+                    mapping = mmap.mmap(f.fileno(), size - 4, access=mmap.ACCESS_READ)
+                except ValueError:  # the file shrank since _decode saw it
+                    raise KeyFileError(f"{path}: short read") from None
                 if hasattr(mmap, "MADV_RANDOM"):
                     mapping.madvise(mmap.MADV_RANDOM)
                 key = cls(n_bits, memoryview(mapping)[offset:])

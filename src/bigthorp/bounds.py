@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Dict, Iterable, List, Optional, Union
+from typing import IO, Iterable, List, Optional, Union
 
 import mpmath
 from mpmath.libmp import (
@@ -268,9 +268,9 @@ def _h_upper(zm):
 class BoundInputs:
     """Parameter bundle for the advantage-bound calculators.
 
-    ``queries`` and ``oracle_calls`` may be floats so that the curve
-    helpers can sweep q between powers of two; everything else is an
-    integer count of bits, probes, passes or rounds.
+    ``queries`` and ``oracle_calls`` may be finite floats so that the
+    curve helpers can sweep q between powers of two; everything else is
+    an integer count of bits, probes, passes or rounds.
     """
 
     n_bits: int
@@ -291,6 +291,10 @@ class BoundInputs:
                      "queries", "oracle_calls"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
+        for name in ("queries", "oracle_calls"):
+            value = getattr(self, name)  # only a float can be NaN or inf
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         # the evaluators take each count as an exact integer
         for name in ("n_bits", "leak_bits", "msg_bits", "num_probes",
                      "passes", "rounds"):
@@ -411,11 +415,6 @@ def _terms(b: BoundInputs, variant: str):
     m = b.msg_bits
     return (t1, t2, mpf_shift(mpf_mul(q, p, _P, _RND), 1 - m),
             mpf_shift(mpf_mul(q, from_int(b.rounds), _P, _RND), -m))
-
-
-def _theorem1_terms(b: BoundInputs, variant: str = "exact") -> Dict[str, object]:
-    """The four terms of ``theorem1_bound`` keyed by their formulas."""
-    return dict(zip(_TERM_FORMULAS, _terms(b, variant)))
 
 
 def theorem1_bound(b: BoundInputs, variant: str = "exact") -> mpmath.mpf:

@@ -3,7 +3,9 @@
 Subcommands: ``keygen``, ``encrypt``, ``decrypt``, ``bounds``, ``curve``,
 ``verify``.  Exit status is 0 on success, 1 for usage errors, 2 for I/O or
 format errors (unreadable or mismatched key files, malformed hex), and 3
-when a verification suite reports a failure.
+when a verification suite reports a failure.  ``main`` alone maps errors
+to codes, ``ValueError`` to 1 and ``KeyFileError`` or ``OSError`` to 2,
+except malformed ``--in`` hex, a ``ValueError`` that ``_cmd_crypt`` maps.
 
 Messages travel as big-endian hex with an explicit ``--bits`` width, since
 the width need not be a multiple of four; input whose value needs more
@@ -13,8 +15,9 @@ Numeric arguments are range-checked where argparse parses them, so an out
 of range value is a usage error, and so is a cipher shape that
 ``CipherParams`` refuses once the key's size is known (``--passes S``
 whose S * (2M - 1) rounds overflow the query's 8-byte round field), and
-a ``bounds`` input outside the bound's domain.  The shape limits, the
-probe ceiling among them, come from ``oracle``.
+a ``bounds`` input outside the bound's domain or a ``bounds --bits`` above
+the cipher's width limit (``curve`` takes any width).  The shape limits,
+the probe ceiling among them, come from ``oracle``.
 """
 
 from __future__ import annotations
@@ -212,18 +215,17 @@ def _cmd_keygen(args) -> int:
     if args.seed is not None:
         if args.bits > _SEEDED_KEY_MAX_BITS:
             # the seeded key is one SHAKE digest, built whole in memory
-            print(f"error: --seed keys are limited to {_SEEDED_KEY_MAX_BITS} "
-                  f"bits (1 GiB), got --bits {args.bits}", file=sys.stderr)
-            return 1
+            raise ValueError(f"--seed keys are limited to "
+                             f"{_SEEDED_KEY_MAX_BITS} bits (1 GiB), got "
+                             f"--bits {args.bits}")
         randomness = bigkey.seed_randomness(needed, args.seed)
     else:
         # the key is drawn whole in memory: refuse one that cannot fit
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         if needed > memory:
-            print(f"error: a random {args.bits}-bit key needs {needed} bytes "
-                  f"in memory, more than the {memory} bytes of physical "
-                  f"memory", file=sys.stderr)
-            return 1
+            raise ValueError(f"a random {args.bits}-bit key needs {needed} "
+                             f"bytes in memory, more than the {memory} bytes "
+                             f"of physical memory")
         randomness = os.urandom(needed)
     key = bigkey.BigKey.generate(args.bits, randomness)
     key.save(args.out)
@@ -233,16 +235,14 @@ def _cmd_keygen(args) -> int:
 
 def _cmd_crypt(args) -> int:
     if args.key is None:
-        print(f"error: --key not given and ${_ENV_KEY} is unset",
-              file=sys.stderr)
-        return 1
+        raise ValueError(f"--key not given and ${_ENV_KEY} is unset")
     with bigkey.BigKey.load(args.key) as key:
+        params = _cipher_params(args, key.n_bits)
         try:
-            params = _cipher_params(args, key.n_bits)
-        except ValueError as e:  # a shape argparse could not check alone
+            message = BitString.from_hex(args.message, args.bits)
+        except ValueError as e:  # malformed input: a format error
             print(f"error: {e}", file=sys.stderr)
-            return 1
-        message = BitString.from_hex(args.message, args.bits)
+            return 2
         crypt = thorp.encrypt if args.command == "encrypt" else thorp.decrypt
         out = crypt(message, key, Shake256Oracle(), params)
     print(out.to_hex())
@@ -250,13 +250,13 @@ def _cmd_crypt(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    if args.bits > _MAX_MSG_BITS:
+        # naive_adv_lower builds 2^bits exactly; curve builds no such integer
+        raise ValueError(f"--bits must be at most {_MAX_MSG_BITS}, the "
+                         f"cipher's width limit, got {args.bits}")
     variant = "closed-form" if args.closed_form else "exact"
-    try:
-        b = _bound_inputs(args, args.queries, args.oracle_calls)
-        value = bounds.theorem1_bound(b, variant=variant)
-    except ValueError as e:  # inputs outside the bound's domain
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    b = _bound_inputs(args, args.queries, args.oracle_calls)
+    value = bounds.theorem1_bound(b, variant=variant)
     naive = bounds.naive_adv_lower(b)
     simple = bounds._out(bounds._to_mpf(naive.simple))
     hyper = bounds._out(bounds._to_mpf(naive.hypergeometric))
@@ -277,15 +277,15 @@ def _cmd_bounds(args) -> int:
     print(f"naive hypothesis q*floor(leak/bits) <= 2^bits: "
           f"{'holds' if naive.hypothesis_ok else 'violated'}")
     if args.terms:
-        for formula, term in bounds._theorem1_terms(b, variant).items():
+        for formula, term in zip(bounds._TERM_FORMULAS,
+                                 bounds._terms(b, variant)):
             print(f"term {formula}: {mpmath.nstr(bounds._out(term), 10)}")
     return 0
 
 
 def _cmd_curve(args) -> int:
     if args.q_to < args.q_from:
-        print("error: --q-to must be at least --q-from", file=sys.stderr)
-        return 1
+        raise ValueError("--q-to must be at least --q-from")
     b = _bound_inputs(args, args.q_from)
     lg_a = mpmath.log(args.q_from, 2)
     lg_b = mpmath.log(args.q_to, 2)
@@ -309,9 +309,8 @@ def _cmd_verify(args) -> int:
     names = sorted(verify.SUITES) if args.all else list(dict.fromkeys(args.suite))
     if "bias" in names and not (
             verify._MIN_TRIALS <= args.trials <= verify._MAX_TRIALS):
-        print(f"error: --trials must be {verify._MIN_TRIALS} to "
-              f"{verify._MAX_TRIALS} for the bias suite", file=sys.stderr)
-        return 1
+        raise ValueError(f"--trials must be {verify._MIN_TRIALS} to "
+                         f"{verify._MAX_TRIALS} for the bias suite")
     results, suite_s = [], []
     for name in names:
         kwargs = {"trials": args.trials} if name == "bias" else {}
@@ -339,9 +338,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return e.code if isinstance(e.code, int) else 1
     try:
         return args.run(args)
-    except (bigkey.KeyFileError, OSError, ValueError) as e:
+    except (bigkey.KeyFileError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

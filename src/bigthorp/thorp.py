@@ -264,8 +264,9 @@ def _rounds(x: int, key: BigKey, oracle: Oracle, params: CipherParams,
 
 
 def _round_bits(params: CipherParams, key: BigKey, stream, queries):
-    """Round bits and probe words of serialized queries, as numpy arrays of
-    shape (B,) and (B, k).
+    """Round bits and 0-based probe positions (``word % N`` of each
+    accepted probe word) of serialized queries, as numpy arrays of shape
+    (B,) and (B, k).
 
     All rows are fetched at once; a row with a rejected word is replaced in
     place by its ``_accept`` layout.  The key's buffer is viewed only inside
@@ -283,13 +284,12 @@ def _round_bits(params: CipherParams, key: BigKey, stream, queries):
             rows[i] = np.frombuffer(
                 _accept(stream, queries[i], rows[i].tobytes(), k, threshold),
                 np.uint8)
-    words = rows[:, :mask_at].view(">u8").astype(np.uint64)
     selected = np.unpackbits(rows[:, mask_at:], axis=1, count=k,
                              bitorder="little")
-    p = words % n
+    p = rows[:, :mask_at].view(">u8").astype(np.uint64) % n
     key_bytes = np.frombuffer(key._buf, np.uint8)
     probed = key_bytes[p >> 3] >> (p & 7).astype(np.uint8) & selected
-    return np.bitwise_xor.reduce(probed, axis=1), words
+    return np.bitwise_xor.reduce(probed, axis=1), p
 
 
 @dataclass(frozen=True)

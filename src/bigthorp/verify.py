@@ -506,17 +506,15 @@ def bias_estimate(
             return np.ldexp(1.0, -distinct)
     if (1 << (m - 1)) * (_BIAS_ROUNDS - 1) < 2 * trials:
         raise ValueError("message width too small for this many distinct queries")
-    stream, n = oracle.stream_bytes, key.n_bits
-    power_of_two = n & (n - 1) == 0  # a mask reduces words as % does
+    stream = oracle.stream_bytes
     rng = random.Random(seed)
     draw = _array_queries if m - 1 <= _WORD_BITS else _loop_queries
     ones = 0
     bound_acc = 0.0
     for queries in draw(rng, m, trials):
-        f, words = _round_bits(params, key, stream, queries)
+        f, positions = _round_bits(params, key, stream, queries)
         ones += int(f.sum())
-        terms = 0.5 * np.sqrt(mass(words & (n - 1) if power_of_two
-                                   else words % n))
+        terms = 0.5 * np.sqrt(mass(positions))
         # trial order, as a per-query loop adds them (np.sum adds pairwise)
         bound_acc = float(np.add.accumulate(np.append(bound_acc, terms))[-1])
     return BiasEstimate(abs(ones / trials - 0.5), bound_acc / trials)
@@ -621,6 +619,13 @@ def _array_queries(rng: random.Random, m: int,
 # suites
 
 
+def _equal_row(name, lhs, rhs, note):
+    """A row for an identity: it reports |lhs - rhs| and passes when that
+    is at most 1e-12."""
+    diff = abs(lhs - rhs)
+    return CheckResult(name, diff, 1e-12, diff <= 1e-12, note)
+
+
 def _worst_row(name, count, worst, rhs, ok, note, empty="nothing was sampled"):
     """A row for the worst case over ``count`` samples: with none it checked
     nothing, so it fails and its note says so."""
@@ -637,9 +642,7 @@ def run_parseval_suite(max_n: int = 10, per_n: int = 500,
         ("parseval/uniform", DistributionTable.uniform(4),
          "uniform outcome, both sides 2^-n"),
     ):
-        lhs, rhs = parseval_check(d)
-        diff = abs(lhs - rhs)
-        results.append(CheckResult(name, diff, 1e-12, diff <= 1e-12, note))
+        results.append(_equal_row(name, *parseval_check(d), note))
     rng = np.random.default_rng(seed)
     for n in range(1, max_n + 1):
         worst = 0.0
@@ -658,11 +661,9 @@ def run_fiber_entropy_suite(count: int = 100, n0: int = 10, l0: int = 3,
                             seed: int = 202) -> List[CheckResult]:
     results = []
     r = leakage_entropy_check(LeakageTable.projection(4, 2), tail_m)
-    diff = abs(r.mean_fiber_entropy - r.bound)
-    results.append(CheckResult(
-        "fiber-entropy/projection", diff, 1e-12, diff <= 1e-12,
-        "balanced fibers: mean equals n0 - l0 exactly",
-    ))
+    results.append(_equal_row(
+        "fiber-entropy/projection", r.mean_fiber_entropy, r.bound,
+        "balanced fibers: mean equals n0 - l0 exactly"))
     r = leakage_entropy_check(LeakageTable.constant(4, 2), tail_m)
     results.append(CheckResult(
         "fiber-entropy/constant", r.mean_fiber_entropy, r.bound,
@@ -688,17 +689,12 @@ def run_fiber_entropy_suite(count: int = 100, n0: int = 10, l0: int = 3,
 def run_decomposition_suite(count: int = 100, n0: int = 8,
                             seed: int = 303) -> List[CheckResult]:
     results = []
-    s, e = decomposition_check(range(1 << n0), n0)
-    diff = abs(s - e)
-    results.append(CheckResult(
-        "decomposition/full-space", diff, 1e-12, diff <= 1e-12,
-        "independent uniform bits: equality",
-    ))
-    s, e = decomposition_check([37], n0)
-    results.append(CheckResult(
-        "decomposition/singleton", abs(s - e), 1e-12, abs(s - e) <= 1e-12,
-        "deterministic bits: both sides 0",
-    ))
+    results.append(_equal_row(
+        "decomposition/full-space", *decomposition_check(range(1 << n0), n0),
+        "independent uniform bits: equality"))
+    results.append(_equal_row(
+        "decomposition/singleton", *decomposition_check([37], n0),
+        "deterministic bits: both sides 0"))
     rng = np.random.default_rng(seed)
     h = lru_cache(maxsize=None)(_entropy_float)  # subsets share many shares
     worst_margin = math.inf
@@ -719,13 +715,11 @@ def run_collision_suite(n0: int = 8, ks: Sequence[int] = (1, 2, 3),
     results = []
     constant = LeakageTable.constant(n0, 1)
     for k in ks:
-        res = main_lemma_check(constant, 0, k)
-        oracle_value = distinct_probe_collision_mass(n0, k)
-        diff = abs(res.expected_g - oracle_value)
-        results.append(CheckResult(
-            f"collision/full-space-k{k}", diff, 1e-12, diff <= 1e-12,
-            "enumeration vs combinatorial oracle",
-        ))
+        results.append(_equal_row(
+            f"collision/full-space-k{k}",
+            main_lemma_check(constant, 0, k).expected_g,
+            distinct_probe_collision_mass(n0, k),
+            "enumeration vs combinatorial oracle"))
     singleton = LeakageTable(2, 2, np.arange(4))
     res = main_lemma_check(singleton, 0, 1)
     results.append(CheckResult(

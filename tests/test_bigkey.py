@@ -26,7 +26,7 @@ from bigthorp import (
     encrypt,
     seed_randomness,
 )
-from bigthorp.bigkey import _crc, _encode_header
+from bigthorp.bigkey import _HEAD_MAX, _crc, _decode, _encode_header
 from test_golden import ref_encrypt
 
 
@@ -166,9 +166,9 @@ def test_load_in_memory_matches_file_backed(tmp_path):
         assert disk.subkey(probes) == mem.subkey(probes)
 
 
-def test_load_in_memory_refuses_a_file_that_shrinks(tmp_path, monkeypatch):
-    # after _decode has checked the size, the file loses its last key byte
-    # and the 4-byte checksum after it
+def _shrunk_after_decode(tmp_path, monkeypatch):
+    """A key file that loses its last key byte and the 4-byte checksum
+    after it once ``_decode`` has checked its size."""
     path = tmp_path / "key.bk"
     BigKey.generate(64, seed_randomness(8, 5)).save(path)
     decode = bigkey._decode
@@ -179,8 +179,21 @@ def test_load_in_memory_refuses_a_file_that_shrinks(tmp_path, monkeypatch):
         return checked
 
     monkeypatch.setattr(bigkey, "_decode", decode_then_truncate)
+    return path
+
+
+def test_load_in_memory_refuses_a_file_that_shrinks(tmp_path, monkeypatch):
+    path = _shrunk_after_decode(tmp_path, monkeypatch)
     with pytest.raises(KeyFileError, match="short read"):
         BigKey.load(path, in_memory=True)
+
+
+def test_mapped_load_refuses_a_file_that_shrinks(tmp_path, monkeypatch):
+    # mmap refuses a length past the end with ValueError, which the CLI
+    # reports as a usage error; this is a key file error like the above
+    path = _shrunk_after_decode(tmp_path, monkeypatch)
+    with pytest.raises(KeyFileError, match="short read"):
+        BigKey.load(path)
 
 
 def test_only_bigkey_and_thorp_read_the_key_buffer():
@@ -243,6 +256,20 @@ def test_load_rejects_oracle_mismatch(tmp_path):
     for in_memory in (False, True):
         with pytest.raises(OracleMismatchError, match="'scripted'"):
             BigKey.load(path, in_memory=in_memory)
+
+
+def test_decode_refuses_another_oracle_after_every_other_check():
+    # a checksum valid over "scripted": _decode itself refuses the file,
+    # and only once the checksum and the padding have passed
+    header = b"BIGK\x02\x08scripted" + (12).to_bytes(8, "big")
+    raw = header + b"\xa5\x0f" + _crc(header)
+    with pytest.raises(OracleMismatchError,
+                       match="^key pins oracle 'scripted', not 'shake256'$"):
+        _decode(raw[:_HEAD_MAX], raw[-5:], len(raw))
+    with pytest.raises(KeyFileError, match="nonzero padding bits"):
+        _decode(raw[:_HEAD_MAX], b"\x1f" + raw[-4:], len(raw))
+    with pytest.raises(KeyFileError, match="checksum mismatch"):
+        _decode(raw[:_HEAD_MAX], raw[-5:-1] + bytes([raw[-1] ^ 1]), len(raw))
 
 
 def test_load_rejects_truncated_and_oversized_files(tmp_path):

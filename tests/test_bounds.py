@@ -590,6 +590,14 @@ def test_bound_inputs_validation():
     for name in ("n_bits", "leak_bits", "num_probes", "passes", "rounds"):
         with pytest.raises(ValueError, match=f"{name} must be a whole number"):
             dataclasses.replace(EXAMPLE, **{name: getattr(EXAMPLE, name) + 0.5})
+    # NaN once failed deep in the evaluator and inf overflowed the naive
+    # bound; an int past the float range is still an exact count
+    for name in ("queries", "oracle_calls"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                dataclasses.replace(EXAMPLE, **{name: value})
+        assert getattr(dataclasses.replace(EXAMPLE, **{name: 2**2000}),
+                       name) == 2**2000
 
 
 def test_whole_float_msg_bits_works_as_its_int():

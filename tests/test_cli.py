@@ -415,6 +415,30 @@ def test_rounds_override_warns_once(key_path, capsys):
         assert capsys.readouterr().err.count("warning: --rounds") == 1
 
 
+def test_bounds_refuses_a_width_above_the_cipher_limit(capsys):
+    # the naive lower bound is exact in 2^bits: at 2^40 bits it once ended
+    # in a MemoryError traceback; the refusal comes before it is built
+    shape = ["--n", str(2**62), "--leak", "0", "--probes", "0", "--passes",
+             "1"]
+    argv = ["bounds", *shape, "--queries", "1", "--bits"]
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert main([*argv, str(2**40)]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --bits must be at most 65535, the cipher's width " \
+                  f"limit, got {2**40}\n"
+    assert main([*argv, "65535"]) == 0
+    # curve builds no 2^bits integer and takes any width
+    assert main(["curve", *shape, "--bits", str(2**40), "--q-from", "1",
+                 "--q-to", "2", "--points", "2"]) == 0
+
+
 def test_bounds_rejects_oversubscribed_key(capsys):
     # alpha + probes exceeds the key size, the bound has no valid domain
     argv = ["bounds", "--n", "16384", "--leak", "64", "--bits", "16",

@@ -98,7 +98,7 @@ def test_damaged_key_file_never_loads(tmp_path_factory, n_bits, seed, data):
     BigKey.generate(n_bits, seed_randomness((n_bits + 7) // 8, seed)).save(path)
     raw = path.read_bytes()
     header = 4 + 1 + 1 + len("shake256") + 8
-    assert _decoded(raw) == ("shake256", n_bits, header)
+    assert _decoded(raw) == (n_bits, header)
     for cut in range(len(raw)):
         want = ("bad magic" if cut < 4 else "truncated header" if cut < header
                 else "expected")
